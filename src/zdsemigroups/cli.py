@@ -14,18 +14,18 @@ import os
 import sys
 from typing import Optional
 
-from .counting import pendant_case_breakdown, pendant_square_case
+from .classify import ClassCatalog
+from .counting import generate_clique_classes, pendant_case_breakdown, pendant_square_case
 from .errors import UsageError
-from .graphs import graph_to_dot, target_to_graph
 from .reports import (
     ResultsCache,
     build_count_report,
+    catalog_dot_text,
     oracle_catalog,
     oracle_fits_budget,
     render_count_report,
     render_verification,
     run_verification,
-    target_for,
     write_catalog,
 )
 
@@ -37,6 +37,10 @@ def _add_common(parser: argparse.ArgumentParser, *, with_method: bool) -> None:
     if with_method:
         parser.add_argument("--method", default="all",
                             choices=("formula", "generator", "oracle", "all"))
+    _add_run_flags(parser)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for the brute-force search")
     parser.add_argument("--allow-long-run", action="store_true",
@@ -73,7 +77,6 @@ def _select_catalog(args, cache):
         catalog = oracle_catalog(kind, n, jobs=args.jobs,
                                  allow_long_run=args.allow_long_run, cache=cache)
         if kind == "kn1" and args.case:
-            from .classify import ClassCatalog
             filtered = ClassCatalog()
             for entry in catalog.entries():
                 if pendant_square_case(entry.representative) == args.case:
@@ -81,7 +84,6 @@ def _select_catalog(args, cache):
             return filtered
         return catalog
     if kind == "kn":
-        from .counting import generate_clique_classes
         return generate_clique_classes(n)
     breakdown = pendant_case_breakdown(n)
     if args.case:
@@ -101,12 +103,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = args.range
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = args.range.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise UsageError(f"range must look like 3 or 3..5, got {args.range!r}") from None
     rows, code = run_verification(
         lo, hi, jobs=args.jobs, allow_long_run=args.allow_long_run, cache=_cache(args)
     )
@@ -115,9 +117,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    target = target_for(args.graph, args.n)
-    pendant = target.element_count if args.graph == "kn1" else None
-    text = graph_to_dot(target_to_graph(target), pendant=pendant)
+    text = catalog_dot_text(args.graph, args.n, ClassCatalog())  # the bare target graph
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -152,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-check matrix over a range of n")
     p_verify.add_argument("range", help="clique sizes, e.g. 3..4 or 3")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_verify.add_argument("--allow-long-run", action="store_true")
-    p_verify.add_argument("--cache-dir", default=None)
+    _add_run_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_dot = sub.add_parser("export-dot", help="write the target graph in DOT form")

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .classify import ClassCatalog, canonical_form, pendant_pinned_key
 from .errors import UsageError
@@ -59,6 +59,37 @@ TABULATED_COUNTS = {
     "pendant_total": {3: 15, 4: 40, 5: 76},
     "pendant_attach": 1,
 }
+
+
+def pendant_case_formula(case: str, n: int) -> int:
+    """Closed class count of a pendant case other than x*x = x (attach corrected)."""
+    return {"zero": n, "attach": n, "other": 3 * n - 4}[case]
+
+
+def historical_pendant_total(n: int, self_count: int) -> int:
+    """The historical total rule, reported but never used: it undercounts by n - 1."""
+    return self_count + 4 * n - 3
+
+
+@dataclass(frozen=True)
+class StratumRule:
+    """A stated closed count for one fixed-point stratum of the x*x = x case."""
+
+    label: str
+    stratum: Callable[[int], int]  # the r it covers at clique size n
+    value: Callable[[int], int]
+    proven: Callable[[int], bool]  # a theorem at n: a mismatch is a bug
+
+
+# Listed in order of preference where two rules cover one stratum.  That
+# happens at n = 3, r = 2, where they conflict (piecewise 3, doubling 8).
+STRATUM_RULES = (
+    StratumRule("r=1 rule (n)", lambda n: 1, lambda n: n, lambda n: True),
+    StratumRule("r=2 piecewise rule", lambda n: 2,
+                lambda n: {3: 3, 4: 9}.get(n, 4 * (n - 1)), lambda n: n == 4),
+    StratumRule("r=n-1 doubling rule (2*clique count)", lambda n: n - 1,
+                lambda n: 2 * clique_class_count(n - 1), lambda n: n >= 4),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +242,28 @@ def pendant_fixed_points(table: MulTable) -> int:
 # pendant case checks (on tables with the forced zero pattern)
 
 
+def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> bool:
+    """The neighbor squares to 0, and the pendant sends each of ``elements``
+    to the neighbor, which squares to 0 or the neighbor."""
+    return ent[neighbor][neighbor] == 0 and all(
+        ent[i][pendant] == neighbor and ent[i][i] in (0, neighbor) for i in elements
+    )
+
+
+def _check_pointer_family(table: MulTable, case: str) -> bool:
+    """Shared body of the zero and attach checks, keyed on the pendant's square."""
+    _, pendant, neighbor = _pendant_layout(table)
+    ent = table.entries
+    if ent[pendant][pendant] != (0 if case == "zero" else neighbor):
+        raise UsageError(f"table is not in the pendant-square-{case} case")
+    others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
+    return _sent_to_neighbor(ent, others, pendant, neighbor)
+
+
 def check_pendant_square_zero(table: MulTable) -> bool:
     """x*x = 0 case: neighbor squares to 0, every other clique element is
     sent to the neighbor by the pendant and squares to 0 or the neighbor."""
-    n, pendant, neighbor = _pendant_layout(table)
-    ent = table.entries
-    if ent[pendant][pendant] != 0:
-        raise UsageError("table is not in the pendant-square-zero case")
-    if ent[neighbor][neighbor] != 0:
-        return False
-    for i in range(1, table.m + 1):
-        if i in (pendant, neighbor):
-            continue
-        if ent[i][pendant] != neighbor:
-            return False
-        if ent[i][i] not in (0, neighbor):
-            return False
-    return True
+    return _check_pointer_family(table, "zero")
 
 
 def check_pendant_square_self(table: MulTable) -> bool:
@@ -283,42 +319,20 @@ def check_pendant_square_self(table: MulTable) -> bool:
 
 
 def check_pendant_square_attach(table: MulTable) -> bool:
-    """x*x = neighbor case: structurally the same as the zero case.
-
-    The pendant sends every other clique element to the neighbor, the
-    neighbor squares to 0, and the rest square to 0 or the neighbor.
-    """
-    n, pendant, neighbor = _pendant_layout(table)
-    ent = table.entries
-    if ent[pendant][pendant] != neighbor:
-        raise UsageError("table is not in the pendant-square-attach case")
-    if ent[neighbor][neighbor] != 0:
-        return False
-    for i in range(1, table.m + 1):
-        if i in (pendant, neighbor):
-            continue
-        if ent[i][pendant] != neighbor:
-            return False
-        if ent[i][i] not in (0, neighbor):
-            return False
-    return True
+    """x*x = neighbor case: structurally the same as the zero case."""
+    return _check_pointer_family(table, "attach")
 
 
 def check_pendant_square_other(table: MulTable) -> bool:
     """x*x = j for a non-neighbor clique element j: three sub-cases for j."""
-    n, pendant, neighbor = _pendant_layout(table)
+    _, pendant, neighbor = _pendant_layout(table)
     ent = table.entries
     j = ent[pendant][pendant]
     if j in (0, pendant, neighbor) or j > table.m:
         raise UsageError("table is not in the pendant-square-other case")
-    if ent[neighbor][neighbor] != 0:
-        return False
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor, j)]
-    for i in others:
-        if ent[i][pendant] != neighbor:
-            return False
-        if ent[i][i] not in (0, neighbor):
-            return False
+    if not _sent_to_neighbor(ent, others, pendant, neighbor):
+        return False
     jx = ent[j][pendant]
     if jx == neighbor:
         return ent[j][j] == 0
@@ -331,15 +345,13 @@ def check_pendant_square_other(table: MulTable) -> bool:
 
 def pendant_conditions_hold(table: MulTable) -> bool:
     """Dispatch to the matching case check by the pendant's square."""
-    _, pendant, neighbor = _pendant_layout(table)
-    sq = table.entries[pendant][pendant]
-    if sq == 0:
-        return check_pendant_square_zero(table)
-    if sq == pendant:
-        return check_pendant_square_self(table)
-    if sq == neighbor:
-        return check_pendant_square_attach(table)
-    return check_pendant_square_other(table)
+    check = {
+        "zero": check_pendant_square_zero,
+        "self": check_pendant_square_self,
+        "attach": check_pendant_square_attach,
+        "other": check_pendant_square_other,
+    }[pendant_square_case(table)]
+    return check(table)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +359,9 @@ def pendant_conditions_hold(table: MulTable) -> bool:
 
 
 def _pendant_grid(n: int) -> list[list[int]]:
+    # All clique products and the pendant-neighbor product are zero.
     m = n + 1
-    grid = [[0] * (m + 1) for _ in range(m + 1)]
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            grid[u][v] = grid[v][u] = 0
-    grid[1][m] = grid[m][1] = 0
-    return grid
+    return [[0] * (m + 1) for _ in range(m + 1)]
 
 
 def _validated(table: MulTable, n: int) -> MulTable:
@@ -371,20 +379,24 @@ def _require_pendant_size(n: int) -> None:
         raise UsageError("pendant structure results need clique size >= 3")
 
 
-def generate_pendant_square_zero(n: int) -> ClassCatalog:
-    """x*x = 0 family: choose how many of elements 2..n square to 1."""
+def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
+    """Shared body of the zero and attach generators, keyed on the pendant's square."""
     _require_pendant_size(n)
     m = n + 1
     catalog = ClassCatalog()
     for pointer_count in range(n):
         grid = _pendant_grid(n)
-        grid[m][m] = 0
+        grid[m][m] = square
         for i in range(2, n + 1):
             grid[i][m] = grid[m][i] = 1
             grid[i][i] = 1 if i - 1 <= pointer_count else 0
-        grid[1][1] = 0
         catalog.insert(_validated(MulTable.from_rows(grid), n))
     return catalog
+
+
+def generate_pendant_square_zero(n: int) -> ClassCatalog:
+    """x*x = 0 family: choose how many of elements 2..n square to 1."""
+    return _generate_pointer_family(n, 0)
 
 
 def generate_pendant_square_attach(n: int) -> ClassCatalog:
@@ -394,18 +406,7 @@ def generate_pendant_square_attach(n: int) -> ClassCatalog:
     neighbor, hence n classes (the all-nilpotent table is the
     originally tabulated single class).
     """
-    _require_pendant_size(n)
-    m = n + 1
-    catalog = ClassCatalog()
-    for pointer_count in range(n):
-        grid = _pendant_grid(n)
-        grid[m][m] = 1
-        for i in range(2, n + 1):
-            grid[i][m] = grid[m][i] = 1
-            grid[i][i] = 1 if i - 1 <= pointer_count else 0
-        grid[1][1] = 0
-        catalog.insert(_validated(MulTable.from_rows(grid), n))
-    return catalog
+    return _generate_pointer_family(n, 1)
 
 
 def generate_pendant_square_other(n: int) -> ClassCatalog:
@@ -419,7 +420,6 @@ def generate_pendant_square_other(n: int) -> ClassCatalog:
         for squares in itertools.product((0, 1), repeat=len(free)):
             grid = _pendant_grid(n)
             grid[m][m] = 2
-            grid[1][1] = 0
             grid[2][m] = grid[m][2] = px2
             grid[2][2] = sq2
             for i in rest:
@@ -562,27 +562,23 @@ def pendant_case_breakdown(n: int) -> PendantBreakdown:
     return PendantBreakdown(n, catalogs, self_result.by_fixed_points)
 
 
+def _stated_stratum_value(n: int, r: int) -> Optional[int]:
+    """Value of the first stated rule covering stratum r, if any."""
+    return next((rule.value(n) for rule in STRATUM_RULES if rule.stratum(n) == r), None)
+
+
 def fixed_points_formula(n: int, r: int) -> int:
     """Stated stratum counts for the x*x = x case, generator fallback elsewhere.
 
-    r = 1 gives n; r = 2 is the piecewise 3 / 9 / 4(n-1) for n = 3 / 4 / >= 5
-    (preferred over the r = n-1 rule when both apply, i.e. at n = 3);
-    r = n-1 gives twice the clique count at n-1.  Other strata have no
-    stated closed value and fall back to the enumerated count.
+    The stated values are the ``STRATUM_RULES``; strata that no rule
+    covers fall back to the enumerated count.
     """
     _require_pendant_size(n)
     if not 1 <= r <= n - 1:
         raise UsageError(f"fixed-point count must lie in 1..{n - 1}")
-    if r == 1:
-        return n
-    if r == 2:
-        if n == 3:
-            return 3
-        if n == 4:
-            return 9
-        return 4 * (n - 1)
-    if r == n - 1:
-        return 2 * clique_class_count(n - 1)
+    stated = _stated_stratum_value(n, r)
+    if stated is not None:
+        return stated
     return generate_pendant_square_self(n).by_fixed_points.get(r, 0)
 
 
@@ -590,24 +586,31 @@ def pendant_class_total(n: int) -> int:
     """Total pendant classes, summed over the four case catalogs.
 
     With the attach case corrected to n classes this is the x*x = x
-    count plus 5n - 4.  The historical rule "self count plus 4n - 3"
+    count plus 5n - 4.  The historical rule (``historical_pendant_total``)
     undercounts by n - 1 and is reported as a discrepancy, not used.
     """
-    _require_pendant_size(n)
     return pendant_case_breakdown(n).total
 
 
 def pendant_self_formula(n: int) -> int:
-    """x*x = x class count assembled from the stated stratum values."""
+    """x*x = x class count assembled from the stated stratum values.
+
+    Strata without a stated rule share one run of the generator.
+    """
     _require_pendant_size(n)
-    return sum(fixed_points_formula(n, r) for r in range(1, n))
+    values = [_stated_stratum_value(n, r) for r in range(1, n)]
+    if None in values:
+        enumerated = generate_pendant_square_self(n).by_fixed_points
+        values = [enumerated.get(r, 0) if v is None else v for r, v in enumerate(values, 1)]
+    return sum(values)
 
 
 def pendant_total_formula(n: int) -> int:
     """Formula-method total: stated strata plus the closed per-case counts.
 
-    The per-case terms are n (zero), n (attach, corrected) and 3n - 4
-    (other).  Where a stated stratum value is wrong (r = 2 at n = 3)
-    this deviates from the enumerated total; the reports surface that.
+    Where a stated stratum value is wrong (r = 2 at n = 3) this deviates
+    from the enumerated total; the reports surface that.
     """
-    return pendant_self_formula(n) + 5 * n - 4
+    return pendant_self_formula(n) + sum(
+        pendant_case_formula(case, n) for case in ("zero", "attach", "other")
+    )

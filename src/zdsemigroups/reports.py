@@ -13,17 +13,26 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
-from .classify import ClassCatalog, square_profile
+from .classify import ClassCatalog, canonical_form, key_to_hex, square_profile
 from .counting import (
+    STRATUM_RULES,
     TABULATED_COUNTS,
+    PendantBreakdown,
     clique_class_count,
+    count_partitions_exact,
     generate_clique_classes,
+    historical_pendant_total,
+    iter_partitions_exact,
     pendant_case_breakdown,
+    pendant_case_formula,
+    pendant_conditions_hold,
     pendant_fixed_points,
     pendant_square_case,
     pendant_total_formula,
@@ -31,7 +40,7 @@ from .counting import (
 from .errors import UsageError
 from .graphs import CompleteK, CompletePlusEnd, TargetGraph, graph_to_dot, target_to_graph
 from .search import DESK_SCALE_LIMIT, assignment_count, oracle_classes, seed_partial_table
-from .tables import table_to_json
+from .tables import check_associativity, permute_table, table_to_json
 
 METHODS = ("formula", "generator", "oracle")
 
@@ -59,15 +68,24 @@ class ResultsCache:
         return self.directory / f"{kind}-n{n}-{method}-v{__version__}.json"
 
     def get_catalog(self, kind: str, n: int, method: str) -> Optional[ClassCatalog]:
+        """The cached catalog, or None on a miss; an unreadable entry is a miss."""
         path = self._path(kind, n, method)
         if not path.exists():
             return None
-        with open(path) as fh:
-            return ClassCatalog.from_json_obj(json.load(fh))
+        try:
+            with open(path) as fh:
+                return ClassCatalog.from_json_obj(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"warning: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
+            return None
 
     def put_catalog(self, kind: str, n: int, method: str, catalog: ClassCatalog) -> None:
-        with open(self._path(kind, n, method), "w") as fh:
+        """Write through a temporary file, so readers never see a partial entry."""
+        path = self._path(kind, n, method)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with open(tmp, "w") as fh:
             json.dump(catalog.to_json_obj(), fh, sort_keys=True)
+        os.replace(tmp, path)
 
 
 def oracle_catalog(kind: str, n: int, *, jobs: int = 1, allow_long_run: bool = False,
@@ -90,12 +108,7 @@ class Discrepancy:
     witnesses: list[dict] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {
-            "description": self.description,
-            "reference_value": self.reference_value,
-            "computed_value": self.computed_value,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -134,26 +147,164 @@ class CountReport:
         }
 
 
-def _witness_list(catalog: ClassCatalog) -> list[dict]:
-    return [table_to_json(e.representative) for e in catalog.entries()]
+# ---------------------------------------------------------------------------
+# claims: every computed count that is compared with a reference value
+
+# Verify status on agreement and on disagreement.
+INTERNAL = ("PASS", "FAIL")  # a proven identity: a mismatch means a pipeline is wrong
+FINDING = ("PASS", "FINDING")  # a tabulated or unproven value
+BOUNDARY = ("FINDING", "FINDING")  # outside the range where the identity is proven
 
 
-def stated_stratum_rules(n: int, r: int) -> list[tuple[str, int]]:
-    """Stated closed values for one fixed-point stratum, by rule.
+class Evidence(NamedTuple):
+    """What the pipelines computed for one target."""
 
-    At n = 3, r = 2 the two stated rules conflict (piecewise value 3,
-    doubling rule 8); both are returned so the deviation can be
-    reported against each.
+    n: int
+    counts: dict[str, Optional[int]]  # by method; absent or None when not run
+    catalogs: dict[str, ClassCatalog]  # clique "generator" and "oracle" catalogs
+    breakdown: Optional[PendantBreakdown]
+
+
+class Claim(NamedTuple):
+    """A computed count checked against a reference value on one target.
+
+    ``label`` and ``detail`` (a format string over ref and got) make the
+    verify row.  A disagreement whose status is FINDING is also a
+    count-report discrepancy, worded by ``description``.
     """
-    rules = []
-    if r == 1:
-        rules.append(("r=1 rule (n)", n))
-    if r == 2:
-        value = 3 if n == 3 else 9 if n == 4 else 4 * (n - 1)
-        rules.append(("r=2 piecewise rule", value))
-    if r == n - 1 and r >= 2:
-        rules.append(("r=n-1 doubling rule (2*clique count)", 2 * clique_class_count(n - 1)))
-    return rules
+
+    id: str
+    reference: Optional[int]
+    computed: Optional[int]
+    policy: tuple[str, str]
+    label: str
+    detail: str
+    description: str = ""
+    witnesses: Optional[ClassCatalog] = None
+
+    @property
+    def status(self) -> str:
+        return self.policy[0] if self.reference == self.computed else self.policy[1]
+
+    def row(self) -> VerifyRow:
+        return VerifyRow(self.status, self.label,
+                         self.detail.format(ref=self.reference, got=self.computed))
+
+    def discrepancy(self) -> Optional[Discrepancy]:
+        if self.reference == self.computed or self.status != "FINDING":
+            return None
+        witnesses = self.witnesses.entries() if self.witnesses else []
+        return Discrepancy(self.description, self.reference, self.computed,
+                           [table_to_json(e.representative) for e in witnesses])
+
+
+def _clique_claims(ev: Evidence) -> list[Claim]:
+    n = ev.n
+    formula, generator, oracle = (ev.counts.get(method) for method in METHODS)
+    # Below n = 3 the formula counts profiles whether or not they yield
+    # zero divisors; report, do not fail.
+    boundary = "" if n >= 3 else (
+        " (agreement at the boundary)" if oracle == formula
+        else " (boundary: the all-idempotent profile is not a table of zero divisors)")
+    return [
+        Claim("clique formula vs generator", formula, generator, INTERNAL,
+              f"kn n={n} formula vs generator", "formula={ref} generator={got}"),
+        Claim("clique oracle vs formula", formula, oracle, INTERNAL if n >= 3 else BOUNDARY,
+              f"kn n={n} oracle vs formula", "oracle={got} formula={ref}" + boundary,
+              f"boundary case n={n}: the closed formula assumes every profile "
+              "yields a table of zero divisors, which fails below n=3",
+              ev.catalogs.get("oracle")),
+        Claim("clique tabulated", TABULATED_COUNTS["clique"].get(n), oracle or generator or formula,
+              FINDING, f"kn n={n} tabulated value", "tabulated={ref} computed={got}",
+              f"tabulated class count for the complete graph on {n} vertices",
+              ev.catalogs.get("oracle") or ev.catalogs.get("generator")),
+    ]
+
+
+def _pendant_claims(ev: Evidence) -> list[Claim]:
+    n, breakdown = ev.n, ev.breakdown
+    cases, catalogs = breakdown.case_counts, breakdown.catalogs
+    return [
+        *(Claim(f"{case} case", pendant_case_formula(case, n), cases[case], INTERNAL,
+                f"kn1 n={n} {case} case count{note}", "computed={got} expected={ref}")
+          for case, note in (("zero", ""), ("attach", " (corrected family)"), ("other", ""))),
+        Claim("attach tabulated", TABULATED_COUNTS["pendant_attach"], cases["attach"], FINDING,
+              f"kn1 n={n} attach case vs tabulated claim", "tabulated={ref} computed={got}",
+              f"tabulated x*x = 1 class count at n={n} (claimed a single class; "
+              "squares equal to the neighbor are admissible)", catalogs["attach"]),
+        Claim("self tabulated", TABULATED_COUNTS["pendant_self"].get(n), cases["self"], FINDING,
+              f"kn1 n={n} tabulated x*x = x count", "tabulated={ref} computed={got}",
+              f"tabulated x*x = x class count at n={n}", catalogs["self"]),
+        Claim("total tabulated", TABULATED_COUNTS["pendant_total"].get(n), breakdown.total,
+              FINDING, f"kn1 n={n} tabulated total", "tabulated={ref} computed={got}",
+              f"tabulated total class count for the pendant target at n={n}"),
+        Claim("historical total", historical_pendant_total(n, cases["self"]), breakdown.total,
+              FINDING, "", "",  # shown in the count report only
+              f"historical total rule (x*x = x count plus 4n-3) at n={n}"),
+        *(Claim(f"stratum {rule.label}", rule.value(n),
+                breakdown.by_fixed_points.get(rule.stratum(n)),
+                INTERNAL if rule.proven(n) else FINDING, f"kn1 n={n} stratum r={rule.stratum(n)}",
+                "stated={ref} computed={got} (" + rule.label + ")",
+                f"stated fixed-point stratum value at n={n}, r={rule.stratum(n)} ({rule.label})")
+          for rule in STRATUM_RULES),
+    ]
+
+
+# Each view names the claims it shows, in its own order.
+_STRATA = tuple(f"stratum {rule.label}" for rule in STRATUM_RULES)
+COUNT_VIEW = ("clique tabulated", "clique oracle vs formula", "self tabulated",
+              "attach tabulated", "total tabulated", "historical total", *_STRATA)
+VERIFY_VIEW = ("clique formula vs generator", "clique oracle vs formula", "clique tabulated",
+               "zero case", "attach case", "attach tabulated", "other case", *_STRATA,
+               "self tabulated", "total tabulated")
+
+
+def evaluate_claims(kind: str, evidence: Evidence, view: tuple[str, ...]) -> list[Claim]:
+    """The target's claims that have both values, in the view's order."""
+    claims = {
+        claim.id: claim
+        for claim in (_clique_claims if kind == "kn" else _pendant_claims)(evidence)
+        if claim.reference is not None and claim.computed is not None
+    }
+    return [claims[claim_id] for claim_id in view if claim_id in claims]
+
+
+def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, jobs: int,
+                   allow_long_run: bool, cache: Optional[ResultsCache],
+                   refuse: bool = False) -> Evidence:
+    """Run the given methods on one target, in order.
+
+    An oracle over the budget is skipped (count None), or refused with
+    ``BudgetError`` when ``refuse`` is set.  Pendant targets always get
+    the case breakdown, which the claims read.
+    """
+    counts: dict[str, Optional[int]] = {}
+    catalogs: dict[str, ClassCatalog] = {}
+    breakdown = None
+    for name in methods:
+        if name == "formula":
+            counts["formula"] = (
+                clique_class_count(n) if kind == "kn" else pendant_total_formula(n)
+            )
+        elif name == "generator":
+            if kind == "kn":
+                catalogs["generator"] = generate_clique_classes(n)
+                counts["generator"] = catalogs["generator"].class_count
+            else:
+                breakdown = pendant_case_breakdown(n)
+                counts["generator"] = breakdown.total
+        elif oracle_fits_budget(kind, n) or allow_long_run:
+            catalogs["oracle"] = oracle_catalog(
+                kind, n, jobs=jobs, allow_long_run=allow_long_run, cache=cache
+            )
+            counts["oracle"] = catalogs["oracle"].class_count
+        else:
+            if refuse:
+                oracle_catalog(kind, n, jobs=jobs, allow_long_run=False, cache=cache)
+            counts["oracle"] = None
+    if kind == "kn1" and breakdown is None:
+        breakdown = pendant_case_breakdown(n)
+    return Evidence(n, counts, catalogs, breakdown)
 
 
 def build_count_report(kind: str, n: int, method: str = "all", *, jobs: int = 1,
@@ -166,106 +317,25 @@ def build_count_report(kind: str, n: int, method: str = "all", *, jobs: int = 1,
         raise UsageError("complete graphs need n >= 1")
     if kind == "kn1" and n < 3:
         raise UsageError("pendant targets need n >= 3")
-    wanted = METHODS if method == "all" else (method,)
-    counts: dict[str, Optional[int]] = {}
-    skipped: dict[str, str] = {}
-    strata: Optional[dict] = None
-    discrepancies: list[Discrepancy] = []
-
-    breakdown = None
-    gen_catalog = None
-    oracle_cat = None
-
-    for name in wanted:
-        if name == "formula":
-            counts["formula"] = (
-                clique_class_count(n) if kind == "kn" else pendant_total_formula(n)
-            )
-        elif name == "generator":
-            if kind == "kn":
-                gen_catalog = generate_clique_classes(n)
-                counts["generator"] = gen_catalog.class_count
-            else:
-                breakdown = pendant_case_breakdown(n)
-                counts["generator"] = breakdown.total
-                strata = {
-                    "cases": breakdown.case_counts,
-                    "fixed_points": breakdown.by_fixed_points,
-                }
-        else:
-            if not oracle_fits_budget(kind, n) and not allow_long_run:
-                if method == "oracle":
-                    # explicit request: refuse loudly rather than skip
-                    oracle_catalog(kind, n, jobs=jobs, allow_long_run=False, cache=cache)
-                skipped["oracle"] = (
-                    f"search space exceeds the desk-scale limit ({DESK_SCALE_LIMIT}); "
-                    "pass --allow-long-run to force it"
-                )
-                counts["oracle"] = None
-                continue
-            oracle_cat = oracle_catalog(
-                kind, n, jobs=jobs, allow_long_run=allow_long_run, cache=cache
-            )
-            counts["oracle"] = oracle_cat.class_count
-
-    computed = counts.get("oracle") or counts.get("generator") or counts.get("formula")
-
-    if kind == "kn":
-        reference = TABULATED_COUNTS["clique"].get(n)
-        if reference is not None and computed is not None and computed != reference:
-            discrepancies.append(Discrepancy(
-                f"tabulated class count for the complete graph on {n} vertices",
-                reference, computed,
-                _witness_list(oracle_cat or gen_catalog) if (oracle_cat or gen_catalog) else [],
-            ))
-        if n < 3 and counts.get("oracle") is not None and counts.get("formula") is not None \
-                and counts["oracle"] != counts["formula"]:
-            discrepancies.append(Discrepancy(
-                f"boundary case n={n}: the closed formula assumes every profile "
-                "yields a table of zero divisors, which fails below n=3",
-                counts["formula"], counts["oracle"],
-                _witness_list(oracle_cat) if oracle_cat else [],
-            ))
-    else:
-        if breakdown is None:
-            breakdown = pendant_case_breakdown(n)
-        self_count = breakdown.catalogs["self"].class_count
-        reference_self = TABULATED_COUNTS["pendant_self"].get(n)
-        if reference_self is not None and self_count != reference_self:
-            discrepancies.append(Discrepancy(
-                f"tabulated x*x = x class count at n={n}",
-                reference_self, self_count,
-                _witness_list(breakdown.catalogs["self"]),
-            ))
-        attach_count = breakdown.catalogs["attach"].class_count
-        if attach_count != TABULATED_COUNTS["pendant_attach"]:
-            discrepancies.append(Discrepancy(
-                f"tabulated x*x = 1 class count at n={n} (claimed a single class; "
-                "squares equal to the neighbor are admissible)",
-                TABULATED_COUNTS["pendant_attach"], attach_count,
-                _witness_list(breakdown.catalogs["attach"]),
-            ))
-        reference_total = TABULATED_COUNTS["pendant_total"].get(n)
-        if reference_total is not None and breakdown.total != reference_total:
-            discrepancies.append(Discrepancy(
-                f"tabulated total class count for the pendant target at n={n}",
-                reference_total, breakdown.total, [],
-            ))
-        historical = self_count + 4 * n - 3
-        if breakdown.total != historical:
-            discrepancies.append(Discrepancy(
-                f"historical total rule (x*x = x count plus 4n-3) at n={n}",
-                historical, breakdown.total, [],
-            ))
-        for r, computed_r in breakdown.by_fixed_points.items():
-            for rule, value in stated_stratum_rules(n, r):
-                if value != computed_r:
-                    discrepancies.append(Discrepancy(
-                        f"stated fixed-point stratum value at n={n}, r={r} ({rule})",
-                        value, computed_r, [],
-                    ))
-
-    return CountReport(kind, n, counts, skipped, strata, discrepancies)
+    # An explicit oracle request is refused loudly rather than skipped.
+    evidence = _run_pipelines(kind, n, METHODS if method == "all" else (method,), jobs=jobs,
+                              allow_long_run=allow_long_run, cache=cache,
+                              refuse=method == "oracle")
+    skipped = {}
+    if "oracle" in evidence.counts and evidence.counts["oracle"] is None:
+        skipped["oracle"] = (
+            f"search space exceeds the desk-scale limit ({DESK_SCALE_LIMIT}); "
+            "pass --allow-long-run to force it"
+        )
+    strata = None
+    if kind == "kn1" and "generator" in evidence.counts:
+        strata = {
+            "cases": evidence.breakdown.case_counts,
+            "fixed_points": evidence.breakdown.by_fixed_points,
+        }
+    claims = evaluate_claims(kind, evidence, COUNT_VIEW)
+    discrepancies = [d for d in (claim.discrepancy() for claim in claims) if d is not None]
+    return CountReport(kind, n, evidence.counts, skipped, strata, discrepancies)
 
 
 def render_count_report(report: CountReport) -> str:
@@ -311,8 +381,6 @@ def catalog_json_text(catalog: ClassCatalog) -> str:
 
 
 def catalog_csv_text(kind: str, n: int, catalog: ClassCatalog) -> str:
-    from .classify import key_to_hex
-
     header = [
         "target", "n", "class_id", "key", "x1_square_case", "fixed_points",
         "nilpotent_count", "idempotent_count", "block_sizes", "multiplicity",
@@ -339,8 +407,6 @@ def catalog_csv_text(kind: str, n: int, catalog: ClassCatalog) -> str:
 
 
 def catalog_dot_text(kind: str, n: int, catalog: ClassCatalog) -> str:
-    from .classify import key_to_hex
-
     target = target_for(kind, n)
     pendant = target.element_count if kind == "kn1" else None
     annotations = tuple(
@@ -378,108 +444,44 @@ def _row(rows: list[VerifyRow], ok: bool, label: str, detail: str) -> None:
     rows.append(VerifyRow("PASS" if ok else "FAIL", label, detail))
 
 
-def _verify_clique(rows: list[VerifyRow], n: int, jobs: int, allow_long_run: bool,
-                   cache: Optional[ResultsCache]) -> None:
-    formula = clique_class_count(n)
-    generator = generate_clique_classes(n).class_count
-    _row(rows, formula == generator, f"kn n={n} formula vs generator",
-         f"formula={formula} generator={generator}")
-    if not oracle_fits_budget("kn", n) and not allow_long_run:
-        rows.append(VerifyRow("SKIP", f"kn n={n} oracle",
-                              "search space over the desk-scale limit"))
-        return
-    oracle = oracle_catalog("kn", n, jobs=jobs, allow_long_run=allow_long_run, cache=cache)
-    detail = f"oracle={oracle.class_count} formula={formula}"
-    if n < 3:
-        # Below the proven range the formula counts profiles whether or
-        # not they yield zero divisors; report, do not fail.
-        note = (" (agreement at the boundary)" if oracle.class_count == formula
-                else " (boundary: the all-idempotent profile is not a table of zero divisors)")
-        rows.append(VerifyRow("FINDING", f"kn n={n} oracle vs formula", detail + note))
-    else:
-        _row(rows, oracle.class_count == formula, f"kn n={n} oracle vs formula", detail)
-    reference = TABULATED_COUNTS["clique"].get(n)
-    if reference is not None:
-        status = "PASS" if oracle.class_count == reference else "FINDING"
-        rows.append(VerifyRow(status, f"kn n={n} tabulated value",
-                              f"tabulated={reference} computed={oracle.class_count}"))
+def _verify_target(rows: list[VerifyRow], kind: str, n: int, jobs: int,
+                   allow_long_run: bool, cache: Optional[ResultsCache]) -> None:
+    # No claim reads the pendant formula, which reruns the x*x = x generator.
+    methods = METHODS if kind == "kn" else ("generator", "oracle")
+    evidence = _run_pipelines(kind, n, methods, jobs=jobs, allow_long_run=allow_long_run,
+                              cache=cache)
+    rows.extend(claim.row() for claim in evaluate_claims(kind, evidence, VERIFY_VIEW))
 
-
-def _verify_pendant(rows: list[VerifyRow], n: int, jobs: int, allow_long_run: bool,
-                    cache: Optional[ResultsCache]) -> None:
-    breakdown = pendant_case_breakdown(n)
-    cases = breakdown.case_counts
-    _row(rows, cases["zero"] == n, f"kn1 n={n} zero case count",
-         f"computed={cases['zero']} expected={n}")
-    _row(rows, cases["attach"] == n, f"kn1 n={n} attach case count (corrected family)",
-         f"computed={cases['attach']} expected={n}")
-    rows.append(VerifyRow(
-        "FINDING" if cases["attach"] != TABULATED_COUNTS["pendant_attach"] else "PASS",
-        f"kn1 n={n} attach case vs tabulated claim",
-        f"tabulated={TABULATED_COUNTS['pendant_attach']} computed={cases['attach']}"))
-    _row(rows, cases["other"] == 3 * n - 4, f"kn1 n={n} other case count",
-         f"computed={cases['other']} expected={3 * n - 4}")
-
-    for r, computed_r in breakdown.by_fixed_points.items():
-        for rule, value in stated_stratum_rules(n, r):
-            pinned = (
-                r == 1
-                or (r == n - 1 and r >= 2 and n >= 4 and rule.startswith("r=n-1"))
-                or (r == 2 and n == 4 and rule.startswith("r=2"))
-            )
-            detail = f"stated={value} computed={computed_r} ({rule})"
-            if pinned:
-                _row(rows, value == computed_r, f"kn1 n={n} stratum r={r}", detail)
-            else:
-                rows.append(VerifyRow("PASS" if value == computed_r else "FINDING",
-                                      f"kn1 n={n} stratum r={r}", detail))
-
-    for name, reference in (
-        ("x*x = x count", TABULATED_COUNTS["pendant_self"].get(n)),
-        ("total", TABULATED_COUNTS["pendant_total"].get(n)),
-    ):
-        if reference is None:
-            continue
-        computed = (breakdown.catalogs["self"].class_count
-                    if name.startswith("x*x") else breakdown.total)
-        rows.append(VerifyRow("PASS" if computed == reference else "FINDING",
-                              f"kn1 n={n} tabulated {name}",
-                              f"tabulated={reference} computed={computed}"))
-
-    if n == 3:
+    if kind == "kn1" and n == 3:
         mismatches = _equivalence_counterexamples(n)
         rows.append(VerifyRow("PASS" if not mismatches else "FINDING",
                               f"kn1 n={n} associativity/conditions equivalence",
                               f"{len(mismatches)} counterexamples over the full pattern space"))
 
-    if not oracle_fits_budget("kn1", n) and not allow_long_run:
-        rows.append(VerifyRow("SKIP", f"kn1 n={n} oracle",
+    oracle = evidence.catalogs.get("oracle")
+    if oracle is None:
+        rows.append(VerifyRow("SKIP", f"{kind} n={n} oracle",
                               "search space over the desk-scale limit"))
-        return
-    oracle = oracle_catalog("kn1", n, jobs=jobs, allow_long_run=allow_long_run, cache=cache)
-    merged = breakdown.merged_catalog()
-    _row(rows, set(oracle.keys()) == set(merged.keys()),
-         f"kn1 n={n} generator union vs oracle",
-         f"generator={merged.class_count} oracle={oracle.class_count} classes")
-    violations = _ideal_violations(oracle)
-    _row(rows, not violations, f"kn1 n={n} clique ideal property",
-         f"{len(violations)} violating classes")
+    elif kind == "kn1":
+        merged = evidence.breakdown.merged_catalog()
+        _row(rows, set(oracle.keys()) == set(merged.keys()),
+             f"kn1 n={n} generator union vs oracle",
+             f"generator={merged.class_count} oracle={oracle.class_count} classes")
+        violations = _ideal_violations(oracle)
+        _row(rows, not violations, f"kn1 n={n} clique ideal property",
+             f"{len(violations)} violating classes")
 
 
 def _equivalence_counterexamples(n: int):
     """Tables over the forced pattern where associativity and the case
     conditions disagree."""
-    from .counting import pendant_conditions_hold
     from .search import iter_candidate_tables
-    from .tables import check_associativity
 
     spec = seed_partial_table(target_for("kn1", n))
-    out = []
-    for table in iter_candidate_tables(spec):
-        associative = check_associativity(table) is None
-        if associative != pendant_conditions_hold(table):
-            out.append(table)
-    return out
+    return [
+        table for table in iter_candidate_tables(spec)
+        if (check_associativity(table) is None) != pendant_conditions_hold(table)
+    ]
 
 
 def _ideal_violations(catalog: ClassCatalog):
@@ -490,16 +492,10 @@ def _ideal_violations(catalog: ClassCatalog):
     bad = []
     for entry in catalog.entries():
         table = entry.representative
-        rec = recognize_target(build_zd_graph(table))
-        clique = set(range(1, table.m + 1)) - {rec.pendant}
-        for u in clique:
-            for v in range(1, table.m + 1):
-                if table.entries[u][v] == rec.pendant:
-                    bad.append(table)
-                    break
-            else:
-                continue
-            break
+        pendant = recognize_target(build_zd_graph(table)).pendant
+        elements = range(1, table.m + 1)
+        if any(table.entries[u][v] == pendant for u in elements if u != pendant for v in elements):
+            bad.append(table)
     return bad
 
 
@@ -514,7 +510,6 @@ def run_verification(lo: int, hi: int, *, jobs: int = 1, allow_long_run: bool = 
         raise UsageError("range must satisfy 1 <= lo <= hi")
     rows: list[VerifyRow] = []
 
-    from .counting import count_partitions_exact, iter_partitions_exact
     sample_ok = all(
         count_partitions_exact(j, i) == sum(1 for _ in iter_partitions_exact(j, i))
         for j in range(1, 13)
@@ -525,9 +520,7 @@ def run_verification(lo: int, hi: int, *, jobs: int = 1, allow_long_run: bool = 
 
     import random
 
-    from .classify import canonical_form
     from .search import enumerate_labeled
-    from .tables import permute_table
 
     rng = random.Random(0)
     pool: list = []
@@ -540,9 +533,9 @@ def run_verification(lo: int, hi: int, *, jobs: int = 1, allow_long_run: bool = 
          "invariant" if stable else "violated")
 
     for n in range(lo, hi + 1):
-        _verify_clique(rows, n, jobs, allow_long_run, cache)
+        _verify_target(rows, "kn", n, jobs, allow_long_run, cache)
         if n >= 3:
-            _verify_pendant(rows, n, jobs, allow_long_run, cache)
+            _verify_target(rows, "kn1", n, jobs, allow_long_run, cache)
 
     code = 1 if any(r.status == "FAIL" for r in rows) else 0
     return rows, code

@@ -133,9 +133,11 @@ def table_to_json(table: MulTable) -> dict:
 
 def table_from_json(obj: dict) -> MulTable:
     """Parse and validate the JSON form; rejects malformed grids."""
-    if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
-        raise UsageError("table JSON needs 'm' and 'entries' fields")
-    entries = obj["entries"]
-    if len(entries) != obj["m"] + 1:
+    if not (isinstance(obj, dict) and type(obj.get("m")) is int
+            and isinstance(obj.get("entries"), list)
+            and all(isinstance(row, list) and all(type(v) is int for v in row)
+                    for row in obj["entries"])):
+        raise UsageError("table JSON needs an integer 'm' and 'entries', a list of integer rows")
+    if len(obj["entries"]) != obj["m"] + 1:
         raise UsageError("entries grid does not match declared element count")
-    return MulTable.from_rows(entries)
+    return MulTable.from_rows(obj["entries"])

@@ -243,6 +243,25 @@ def test_fixed_points_formula_values():
         fixed_points_formula(4, 0)
 
 
+def test_pendant_self_formula_runs_generator_once(monkeypatch):
+    # At n=6 the strata r=3 and r=4 have no stated rule; both must come
+    # from a single generator run.
+    from types import SimpleNamespace
+
+    from zdsemigroups import counting
+
+    calls = []
+
+    def stub(n):
+        calls.append(n)
+        return SimpleNamespace(by_fixed_points={3: 100, 4: 1000})
+
+    monkeypatch.setattr(counting, "generate_pendant_square_self", stub)
+    # r=1: 6, r=2: 4*5, r=3, r=4 from the stub, r=5: 2 * clique count at 5
+    assert counting.pendant_self_formula(6) == 6 + 20 + 100 + 1000 + 2 * 19
+    assert calls == [6]
+
+
 def test_formula_methods_consistent_at_n4():
     assert pendant_self_formula(4) == 27
     assert pendant_total_formula(4) == pendant_case_breakdown(4).total == 43

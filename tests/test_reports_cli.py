@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,26 @@ def test_cli_verify_range(capsys):
     assert "[PASS" in out and "summary:" in out
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_zdsg(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "zdsemigroups.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("text", ["a..b", "3..", "..4", "3..x", "x", ""])
+def test_cli_verify_malformed_range_exits_2(text):
+    result = run_zdsg("verify", text, "--jobs", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: range must look like")
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_boundary_findings():
     rows, code = run_verification(1, 2, jobs=1)
     assert code == 0
@@ -200,3 +224,21 @@ def test_results_cache_round_trip(tmp_path):
     # second run hits the cache and agrees
     report2 = build_count_report("kn1", 3, "oracle", jobs=1, cache=cache)
     assert report2.method_counts["oracle"] == 22
+
+
+def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
+    argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle", "--jobs", "1",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(entry.read_text()[:100])
+
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.startswith("warning: ignoring unreadable cache entry")
+    # the entry was rewritten whole, and no temporary file is left behind
+    assert list(tmp_path.iterdir()) == [entry]
+    assert ResultsCache(tmp_path).get_catalog("kn1", 3, "oracle").class_count == 22
+    assert capsys.readouterr().err == ""

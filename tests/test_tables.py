@@ -150,6 +150,18 @@ def test_json_rejects_asymmetric():
         table_from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"m": 1, "entries": 5},
+    {"m": "1", "entries": [[0, 0], [0, 0]]},
+    {"m": 1, "entries": [[0, 0], [0, "a"]]},
+    {"m": 1, "entries": [[0, 0], [0, None]]},
+    {"m": 1, "entries": [[0, 0], 7]},
+])
+def test_json_rejects_malformed_fields(obj):
+    with pytest.raises(UsageError):
+        table_from_json(obj)
+
+
 def test_json_rejects_wrong_size():
     with pytest.raises(UsageError):
         table_from_json({"m": 3, "entries": [[0, 0], [0, 0]]})
