@@ -6,17 +6,24 @@ is the lexicographically smallest flattened upper triangle over all such
 relabelings; at desk scale (m <= 8) minimizing over all m! permutations
 with early-exit comparison is fast enough and leaves nothing to argue
 about.
+
+``ClassCatalog`` does all classification.  For a table whose graph has
+a pendant it runs the full minimization only for a pendant-pinned key
+(the minimum over the (m-2)! relabelings fixing pendant and neighbor)
+it has not seen, so each class costs one full canonicalization.  Equal
+pinned keys mean the tables relabel onto one table, so this is sound
+for any input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Iterator, Optional
 
 from .errors import UsageError
 from .graphs import CompleteK, build_zd_graph, recognize_target
-from .tables import MulTable
+from .tables import MulTable, table_from_json, table_to_json
 
 CanonicalKey = tuple  # flat upper triangle of the minimal relabeling
 
@@ -69,11 +76,9 @@ def canonical_form(table: MulTable) -> CanonicalKey:
 def pendant_pinned_key(table: MulTable, pendant: int, neighbor: int) -> CanonicalKey:
     """Minimum over relabelings that pin the pendant to m and its neighbor to 1.
 
-    For pendant targets with clique size >= 3 the pendant vertex is the
-    unique degree-1 vertex, every isomorphism preserves it, and this
-    restricted minimization already separates isomorphism classes.  It
-    is used as a grouping prefilter only; catalog keys always come from
-    the full minimization.
+    Tables with equal pinned keys are isomorphic; ``ClassCatalog`` uses
+    this to canonicalize once per class.  For clique size >= 3 every
+    isomorphism preserves the pendant, so each class has one pinned key.
     """
     m = table.m
     middle = [u for u in range(1, m + 1) if u not in (pendant, neighbor)]
@@ -127,14 +132,27 @@ class ClassCatalog:
     """
 
     _classes: dict[CanonicalKey, ClassEntry] = field(default_factory=dict)
+    # pendant-pinned key -> canonical key, so each class is minimized once
+    _pinned: dict[CanonicalKey, CanonicalKey] = field(default_factory=dict, compare=False)
 
     def __repr__(self) -> str:
         return f"ClassCatalog(classes={self.class_count}, labeled={self.labeled_count})"
 
+    def key_of(self, table: MulTable) -> CanonicalKey:
+        """Canonical key, fully minimized at most once per pendant-pinned key."""
+        rec = recognize_target(build_zd_graph(table))
+        if rec is None or rec.pendant is None:
+            return canonical_form(table)
+        pinned = pendant_pinned_key(table, rec.pendant, rec.neighbor)
+        key = self._pinned.get(pinned)
+        if key is None:
+            key = self._pinned[pinned] = canonical_form(table)
+        return key
+
     def insert(self, table: MulTable, key: Optional[CanonicalKey] = None) -> bool:
         """Insert one labelled table; True when a new class was created."""
         if key is None:
-            key = canonical_form(table)
+            key = self.key_of(table)
         entry = self._classes.get(key)
         if entry is not None:
             entry.multiplicity += 1
@@ -156,15 +174,10 @@ class ClassCatalog:
     def entries(self) -> list[ClassEntry]:
         return [self._classes[k] for k in self.keys()]
 
-    def __contains__(self, key: CanonicalKey) -> bool:
-        return key in self._classes
-
     def add_entry(self, entry: ClassEntry) -> None:
         existing = self._classes.get(entry.key)
         if existing is None:
-            self._classes[entry.key] = ClassEntry(
-                entry.key, entry.representative, entry.multiplicity
-            )
+            self._classes[entry.key] = replace(entry)
         else:
             existing.multiplicity += entry.multiplicity
 
@@ -173,8 +186,6 @@ class ClassCatalog:
             self.add_entry(entry)
 
     def to_json_obj(self) -> list[dict]:
-        from .tables import table_to_json
-
         return [
             {
                 "key": key_to_hex(e.key),
@@ -186,8 +197,6 @@ class ClassCatalog:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "ClassCatalog":
-        from .tables import table_from_json
-
         catalog = cls()
         for item in obj:
             key = key_from_hex(item["key"])

@@ -38,11 +38,12 @@ the deviation is surfaced as a discrepancy finding.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Optional
 
-from .classify import ClassCatalog, canonical_form, pendant_pinned_key
+from .classify import ClassCatalog
 from .errors import UsageError
 from .graphs import CompletePlusEnd, build_zd_graph, recognize_target
 from .tables import MulTable, check_associativity
@@ -495,29 +496,18 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
 
-    Labelled tables are grouped by the pendant-pinned key first; one full
-    canonicalization per group then yields the catalog keys.
+    The catalog canonicalizes once per class; the fixed-point count r
+    is checked to be constant on each class.
     """
     _require_pendant_size(n)
-    m = n + 1
-    groups: dict[tuple, list[tuple[MulTable, int]]] = {}
-    for table, r in _iter_self_case_tables(n):
-        _validated(table, n)
-        groups.setdefault(pendant_pinned_key(table, m, 1), []).append((table, r))
     catalog = ClassCatalog()
     key_fixed: dict[tuple, int] = {}
-    for pinned in sorted(groups):
-        members = groups[pinned]
-        full = canonical_form(members[0][0])
-        for table, r in members:
-            catalog.insert(table, key=full)
-            prev = key_fixed.setdefault(full, r)
-            if prev != r:
-                raise RuntimeError("fixed-point count is not constant on a class")
-    by_fixed: dict[int, int] = {}
-    for r in key_fixed.values():
-        by_fixed[r] = by_fixed.get(r, 0) + 1
-    return PendantSelfResult(catalog, dict(sorted(by_fixed.items())))
+    for table, r in _iter_self_case_tables(n):
+        key = catalog.key_of(_validated(table, n))
+        catalog.insert(table, key=key)
+        if key_fixed.setdefault(key, r) != r:
+            raise RuntimeError("fixed-point count is not constant on a class")
+    return PendantSelfResult(catalog, dict(sorted(Counter(key_fixed.values()).items())))
 
 
 # ---------------------------------------------------------------------------

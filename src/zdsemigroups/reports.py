@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,8 +39,24 @@ from .counting import (
     pendant_total_formula,
 )
 from .errors import UsageError
-from .graphs import CompleteK, CompletePlusEnd, TargetGraph, graph_to_dot, target_to_graph
-from .search import DESK_SCALE_LIMIT, assignment_count, oracle_classes, seed_partial_table
+from .graphs import (
+    CompleteK,
+    CompletePlusEnd,
+    TargetGraph,
+    build_zd_graph,
+    graph_to_dot,
+    recognize_target,
+    target_to_graph,
+)
+from .search import (
+    DESK_SCALE_LIMIT,
+    assignment_count,
+    check_budget,
+    enumerate_labeled,
+    iter_candidate_tables,
+    oracle_classes,
+    seed_partial_table,
+)
 from .tables import check_associativity, permute_table, table_to_json
 
 METHODS = ("formula", "generator", "oracle")
@@ -90,11 +107,14 @@ class ResultsCache:
 
 def oracle_catalog(kind: str, n: int, *, jobs: int = 1, allow_long_run: bool = False,
                    cache: Optional[ResultsCache] = None) -> ClassCatalog:
+    """The oracle catalog, cached if possible; the budget is checked before the cache."""
+    target = target_for(kind, n)
+    check_budget(target, assignment_count(seed_partial_table(target)), allow_long_run)
     if cache is not None:
         hit = cache.get_catalog(kind, n, "oracle")
         if hit is not None:
             return hit
-    catalog = oracle_classes(target_for(kind, n), jobs=jobs, allow_long_run=allow_long_run)
+    catalog = oracle_classes(target, jobs=jobs, allow_long_run=allow_long_run)
     if cache is not None:
         cache.put_catalog(kind, n, "oracle", catalog)
     return catalog
@@ -293,14 +313,12 @@ def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, jobs: int,
             else:
                 breakdown = pendant_case_breakdown(n)
                 counts["generator"] = breakdown.total
-        elif oracle_fits_budget(kind, n) or allow_long_run:
+        elif refuse or allow_long_run or oracle_fits_budget(kind, n):
             catalogs["oracle"] = oracle_catalog(
                 kind, n, jobs=jobs, allow_long_run=allow_long_run, cache=cache
             )
             counts["oracle"] = catalogs["oracle"].class_count
         else:
-            if refuse:
-                oracle_catalog(kind, n, jobs=jobs, allow_long_run=False, cache=cache)
             counts["oracle"] = None
     if kind == "kn1" and breakdown is None:
         breakdown = pendant_case_breakdown(n)
@@ -475,8 +493,6 @@ def _verify_target(rows: list[VerifyRow], kind: str, n: int, jobs: int,
 def _equivalence_counterexamples(n: int):
     """Tables over the forced pattern where associativity and the case
     conditions disagree."""
-    from .search import iter_candidate_tables
-
     spec = seed_partial_table(target_for("kn1", n))
     return [
         table for table in iter_candidate_tables(spec)
@@ -487,8 +503,6 @@ def _equivalence_counterexamples(n: int):
 def _ideal_violations(catalog: ClassCatalog):
     """Pendant classes where the clique plus zero is not closed under
     multiplication."""
-    from .graphs import build_zd_graph, recognize_target
-
     bad = []
     for entry in catalog.entries():
         table = entry.representative
@@ -517,10 +531,6 @@ def run_verification(lo: int, hi: int, *, jobs: int = 1, allow_long_run: bool = 
     )
     _row(rows, sample_ok, "partition recurrence vs enumeration (j <= 12)",
          "exact agreement" if sample_ok else "disagreement")
-
-    import random
-
-    from .search import enumerate_labeled
 
     rng = random.Random(0)
     pool: list = []

@@ -16,14 +16,18 @@ three are already determined.
 
 from __future__ import annotations
 
+import itertools
+import json
 import multiprocessing
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from typing import Callable, Iterator, Optional
 
+from .classify import ClassCatalog
 from .errors import BudgetError, UsageError
 from .graphs import CompleteK, TargetGraph, build_zd_graph, recognize_target
-from .tables import MulTable, is_zd_semigroup
+from .tables import MulTable, is_zd_semigroup, table_to_json
 
 # Leaf-count ceiling for runs without the long-run flag.  The pendant
 # target at n=4 (~10^6 assignments) must fit; n=5 (~1.5*10^8) must not.
@@ -87,10 +91,17 @@ def assignment_count(spec: SearchSpec) -> int:
     return prod(len(d) for d in spec.domains)
 
 
+def check_budget(target: TargetGraph, leaves: int, allow_long_run: bool) -> None:
+    """Refuse a search of ``leaves`` prune-free leaves beyond the desk-scale limit."""
+    if leaves > DESK_SCALE_LIMIT and not allow_long_run:
+        raise BudgetError(
+            f"{leaves} assignments for {target} exceeds the desk-scale limit "
+            f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
+        )
+
+
 def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:
     """Every completion of the template, with no validity filtering."""
-    import itertools
-
     grid = [list(row) for row in spec.template]
     for values in itertools.product(*spec.domains):
         for (u, v), val in zip(spec.slots, values):
@@ -145,12 +156,7 @@ def enumerate_labeled(
         if bad:
             raise UsageError(f"root values {sorted(bad)} outside the first slot's domain")
         domains[0] = tuple(root_values)
-    total = prod(len(d) for d in domains)
-    if total > DESK_SCALE_LIMIT and not allow_long_run:
-        raise BudgetError(
-            f"{total} assignments for {target} exceeds the desk-scale limit "
-            f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
-        )
+    check_budget(target, prod(len(d) for d in domains), allow_long_run)
     m = target.element_count
     grid = [list(row) for row in spec.template]
     triples = _triple_multisets(m)
@@ -186,10 +192,6 @@ def enumerate_labeled(
 
 def dump_labeled_tables(target: TargetGraph, path, **kwargs) -> int:
     """Write accepted labelled tables as newline-delimited JSON."""
-    import json
-
-    from .tables import table_to_json
-
     with open(path, "w") as fh:
         def write(table: MulTable) -> None:
             fh.write(json.dumps(table_to_json(table), sort_keys=True) + "\n")
@@ -197,42 +199,30 @@ def dump_labeled_tables(target: TargetGraph, path, **kwargs) -> int:
         return enumerate_labeled(target, write, **kwargs)
 
 
-def _root_worker(args) -> list[tuple[tuple[int, ...], ...]]:
-    target, root, allow_long_run = args
-    out: list[tuple[tuple[int, ...], ...]] = []
-    enumerate_labeled(
-        target,
-        lambda t: out.append(t.entries),
-        allow_long_run=allow_long_run,
-        root_values=(root,),
-    )
-    return out
+def _root_catalog(target: TargetGraph, root: int) -> ClassCatalog:
+    """Classify the tables of one first-slot branch (the budget is checked by the caller)."""
+    catalog = ClassCatalog()
+    enumerate_labeled(target, catalog.insert, allow_long_run=True, root_values=(root,))
+    return catalog
 
 
 def oracle_classes(target: TargetGraph, *, jobs: int = 1, allow_long_run: bool = False):
     """Enumerate labelled tables and classify them up to isomorphism.
 
-    With ``jobs > 1`` the first-slot branches run in separate processes;
-    the accepted streams are merged in slot order, so the catalog is
-    identical to a serial run.
+    Each first-slot branch is enumerated and classified into its own
+    catalog, in separate processes when ``jobs > 1``; the parts are
+    merged in slot order, so the catalog does not depend on ``jobs``.
     """
-    from .classify import ClassCatalog
-
     spec = seed_partial_table(target)
-    if assignment_count(spec) > DESK_SCALE_LIMIT and not allow_long_run:
-        raise BudgetError(
-            f"{assignment_count(spec)} assignments for {target} exceeds the desk-scale "
-            f"limit ({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
-        )
-    catalog = ClassCatalog()
-    if jobs <= 1:
-        enumerate_labeled(target, catalog.insert, allow_long_run=allow_long_run)
-        return catalog
+    check_budget(target, assignment_count(spec), allow_long_run)
+    classify_root = partial(_root_catalog, target)
     roots = spec.domains[0]
-    work = [(target, root, True) for root in roots]
-    with multiprocessing.Pool(processes=min(jobs, len(work))) as pool:
-        per_root = pool.map(_root_worker, work)
-    for entries_list in per_root:
-        for entries in entries_list:
-            catalog.insert(MulTable(entries))
+    if jobs > 1:
+        with multiprocessing.Pool(processes=min(jobs, len(roots))) as pool:
+            parts = pool.map(classify_root, roots)
+    else:
+        parts = map(classify_root, roots)
+    catalog = ClassCatalog()
+    for part in parts:
+        catalog.merge(part)
     return catalog

@@ -186,3 +186,26 @@ def test_pinned_key_groups_match_full_canonical():
             by_pinned.setdefault(pendant_pinned_key(t, m, 1), set()).add(t.entries)
             by_full.setdefault(canonical_form(t), set()).add(t.entries)
         assert sorted(by_pinned.values(), key=sorted) == sorted(by_full.values(), key=sorted)
+
+
+def test_catalog_shortcut_matches_full_canonical():
+    # ClassCatalog's pinned-key shortcut against one full canonicalization
+    # per table, on oracle tables and relabelings that move the pendant off m
+    rng = random.Random(3)
+    for n in (3, 4):
+        m = n + 1
+        tables = []
+        enumerate_labeled(CompletePlusEnd(n), tables.append)
+        for t in list(tables):
+            perm = [0] + rng.sample(range(1, m + 1), m)
+            if perm[m] == m:
+                j = rng.randrange(1, m)
+                perm[m], perm[j] = perm[j], perm[m]
+            tables.append(permute_table(t, perm))
+        shortcut, brute = ClassCatalog(), ClassCatalog()
+        for t in tables:
+            shortcut.insert(t)
+            brute.insert(t, key=canonical_form(t))
+        assert [(e.key, e.multiplicity) for e in shortcut.entries()] == [
+            (e.key, e.multiplicity) for e in brute.entries()
+        ]

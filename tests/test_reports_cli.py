@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from zdsemigroups.cli import main
+from zdsemigroups.counting import pendant_case_breakdown
 from zdsemigroups.errors import UsageError
 from zdsemigroups.reports import (
     ResultsCache,
@@ -90,6 +91,26 @@ def test_cli_count_oracle_budget_refusal(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "desk-scale" in err
+
+
+@pytest.mark.parametrize("warm", (False, True))
+@pytest.mark.parametrize("command", ("count", "enumerate"))
+def test_cli_oracle_budget_refusal_ignores_cache(tmp_path, capsys, command, warm):
+    cache_dir = tmp_path / "cache"
+    if warm:
+        ResultsCache(cache_dir).put_catalog(
+            "kn1", 5, "oracle", pendant_case_breakdown(5).merged_catalog())
+    argv = [command, "--graph", "kn1", "--n", "5", "--method", "oracle", "--jobs", "1",
+            "--cache-dir", str(cache_dir)]
+    if command == "enumerate":
+        argv += ["--out", str(tmp_path / "out.json")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "desk-scale" in line
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_count_all_skips_oracle_over_budget(capsys):

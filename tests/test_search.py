@@ -136,12 +136,13 @@ def test_oracle_classes_k3():
 
 
 def test_parallel_matches_serial():
-    serial = oracle_classes(CompletePlusEnd(3), jobs=1)
-    parallel = oracle_classes(CompletePlusEnd(3), jobs=2)
-    assert serial.keys() == parallel.keys()
-    assert [e.multiplicity for e in serial.entries()] == [
-        e.multiplicity for e in parallel.entries()
-    ]
+    for target in (CompletePlusEnd(3), CompleteK(4), CompletePlusEnd(4)):
+        serial = oracle_classes(target, jobs=1)
+        parallel = oracle_classes(target, jobs=2)
+        assert serial.keys() == parallel.keys()
+        assert [e.multiplicity for e in serial.entries()] == [
+            e.multiplicity for e in parallel.entries()
+        ]
 
 
 def test_ndjson_dump(tmp_path):
