@@ -14,11 +14,11 @@ from zdsemigroups.reports import build_count_report, render_count_report
 from zdsemigroups.tables import table_from_json
 
 for n in (3, 4, 5):
-    report = build_count_report("kn1", n, "all", jobs=1)
+    report = build_count_report("kn1", n, "all")
     print(render_count_report(report))
 
 print("Witness tables for the smallest deviation (x*x = 1 at n=3):")
-report = build_count_report("kn1", 3, "all", jobs=1)
+report = build_count_report("kn1", 3, "all")
 attach = next(d for d in report.discrepancies if "x*x = 1" in d.description)
 for obj in attach.witnesses:
     table = table_from_json(obj)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -41,8 +40,6 @@ def _add_common(parser: argparse.ArgumentParser, *, with_method: bool) -> None:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for the brute-force search")
     parser.add_argument("--allow-long-run", action="store_true",
                         help="permit searches beyond the desk-scale budget")
     parser.add_argument("--cache-dir", default=None,
@@ -56,7 +53,7 @@ def _cache(args) -> Optional[ResultsCache]:
 def cmd_count(args) -> int:
     report = build_count_report(
         args.graph, args.n, args.method,
-        jobs=args.jobs, allow_long_run=args.allow_long_run, cache=_cache(args),
+        allow_long_run=args.allow_long_run, cache=_cache(args),
     )
     sys.stdout.write(render_count_report(report))
     if args.out:
@@ -74,8 +71,7 @@ def _select_catalog(args, cache):
     if method == "auto":
         method = "oracle" if (oracle_fits_budget(kind, n) or args.allow_long_run) else "generator"
     if method == "oracle":
-        catalog = oracle_catalog(kind, n, jobs=args.jobs,
-                                 allow_long_run=args.allow_long_run, cache=cache)
+        catalog = oracle_catalog(kind, n, allow_long_run=args.allow_long_run, cache=cache)
         if kind == "kn1" and args.case:
             filtered = ClassCatalog()
             for entry in catalog.entries():
@@ -110,7 +106,7 @@ def cmd_verify(args) -> int:
     except ValueError:
         raise UsageError(f"range must look like 3 or 3..5, got {args.range!r}") from None
     rows, code = run_verification(
-        lo, hi, jobs=args.jobs, allow_long_run=args.allow_long_run, cache=_cache(args)
+        lo, hi, allow_long_run=args.allow_long_run, cache=_cache(args)
     )
     sys.stdout.write(render_verification(rows, code))
     return code

@@ -105,7 +105,7 @@ class ResultsCache:
         os.replace(tmp, path)
 
 
-def oracle_catalog(kind: str, n: int, *, jobs: int = 1, allow_long_run: bool = False,
+def oracle_catalog(kind: str, n: int, *, allow_long_run: bool = False,
                    cache: Optional[ResultsCache] = None) -> ClassCatalog:
     """The oracle catalog, cached if possible; the budget is checked before the cache."""
     target = target_for(kind, n)
@@ -114,7 +114,7 @@ def oracle_catalog(kind: str, n: int, *, jobs: int = 1, allow_long_run: bool = F
         hit = cache.get_catalog(kind, n, "oracle")
         if hit is not None:
             return hit
-    catalog = oracle_classes(target, jobs=jobs, allow_long_run=allow_long_run)
+    catalog = oracle_classes(target, allow_long_run=allow_long_run)
     if cache is not None:
         cache.put_catalog(kind, n, "oracle", catalog)
     return catalog
@@ -289,9 +289,8 @@ def evaluate_claims(kind: str, evidence: Evidence, view: tuple[str, ...]) -> lis
     return [claims[claim_id] for claim_id in view if claim_id in claims]
 
 
-def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, jobs: int,
-                   allow_long_run: bool, cache: Optional[ResultsCache],
-                   refuse: bool = False) -> Evidence:
+def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_run: bool,
+                   cache: Optional[ResultsCache], refuse: bool = False) -> Evidence:
     """Run the given methods on one target, in order.
 
     An oracle over the budget is skipped (count None), or refused with
@@ -315,7 +314,7 @@ def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, jobs: int,
                 counts["generator"] = breakdown.total
         elif refuse or allow_long_run or oracle_fits_budget(kind, n):
             catalogs["oracle"] = oracle_catalog(
-                kind, n, jobs=jobs, allow_long_run=allow_long_run, cache=cache
+                kind, n, allow_long_run=allow_long_run, cache=cache
             )
             counts["oracle"] = catalogs["oracle"].class_count
         else:
@@ -325,8 +324,7 @@ def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, jobs: int,
     return Evidence(n, counts, catalogs, breakdown)
 
 
-def build_count_report(kind: str, n: int, method: str = "all", *, jobs: int = 1,
-                       allow_long_run: bool = False,
+def build_count_report(kind: str, n: int, method: str = "all", *, allow_long_run: bool = False,
                        cache: Optional[ResultsCache] = None) -> CountReport:
     """Run the requested pipelines for one target and assemble the report."""
     if method not in (*METHODS, "all"):
@@ -336,7 +334,7 @@ def build_count_report(kind: str, n: int, method: str = "all", *, jobs: int = 1,
     if kind == "kn1" and n < 3:
         raise UsageError("pendant targets need n >= 3")
     # An explicit oracle request is refused loudly rather than skipped.
-    evidence = _run_pipelines(kind, n, METHODS if method == "all" else (method,), jobs=jobs,
+    evidence = _run_pipelines(kind, n, METHODS if method == "all" else (method,),
                               allow_long_run=allow_long_run, cache=cache,
                               refuse=method == "oracle")
     skipped = {}
@@ -462,12 +460,11 @@ def _row(rows: list[VerifyRow], ok: bool, label: str, detail: str) -> None:
     rows.append(VerifyRow("PASS" if ok else "FAIL", label, detail))
 
 
-def _verify_target(rows: list[VerifyRow], kind: str, n: int, jobs: int,
-                   allow_long_run: bool, cache: Optional[ResultsCache]) -> None:
+def _verify_target(rows: list[VerifyRow], kind: str, n: int, allow_long_run: bool,
+                   cache: Optional[ResultsCache]) -> None:
     # No claim reads the pendant formula, which reruns the x*x = x generator.
     methods = METHODS if kind == "kn" else ("generator", "oracle")
-    evidence = _run_pipelines(kind, n, methods, jobs=jobs, allow_long_run=allow_long_run,
-                              cache=cache)
+    evidence = _run_pipelines(kind, n, methods, allow_long_run=allow_long_run, cache=cache)
     rows.extend(claim.row() for claim in evaluate_claims(kind, evidence, VERIFY_VIEW))
 
     if kind == "kn1" and n == 3:
@@ -513,7 +510,7 @@ def _ideal_violations(catalog: ClassCatalog):
     return bad
 
 
-def run_verification(lo: int, hi: int, *, jobs: int = 1, allow_long_run: bool = False,
+def run_verification(lo: int, hi: int, *, allow_long_run: bool = False,
                      cache: Optional[ResultsCache] = None) -> tuple[list[VerifyRow], int]:
     """Run every cross-check whose budget fits the range.
 
@@ -543,9 +540,9 @@ def run_verification(lo: int, hi: int, *, jobs: int = 1, allow_long_run: bool = 
          "invariant" if stable else "violated")
 
     for n in range(lo, hi + 1):
-        _verify_target(rows, "kn", n, jobs, allow_long_run, cache)
+        _verify_target(rows, "kn", n, allow_long_run, cache)
         if n >= 3:
-            _verify_target(rows, "kn1", n, jobs, allow_long_run, cache)
+            _verify_target(rows, "kn1", n, allow_long_run, cache)
 
     code = 1 if any(r.status == "FAIL" for r in rows) else 0
     return rows, code

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 from dataclasses import dataclass
-from functools import partial
 from math import prod
 from typing import Callable, Iterator, Optional
 
 from .classify import ClassCatalog
-from .errors import BudgetError, UsageError
+from .errors import BudgetError
 from .graphs import CompleteK, TargetGraph, build_zd_graph, recognize_target
 from .tables import MulTable, is_zd_semigroup, table_to_json
 
@@ -141,26 +139,19 @@ def enumerate_labeled(
     *,
     prune: bool = True,
     allow_long_run: bool = False,
-    root_values: Optional[tuple[int, ...]] = None,
 ) -> int:
     """Depth-first enumeration of every labelled table realizing ``target``.
 
     ``visitor`` receives each accepted table in deterministic slot order.
-    ``root_values`` restricts the first slot (used to split work across
-    processes).  Returns the number of accepted tables.
+    Returns the number of accepted tables.
     """
     spec = seed_partial_table(target)
-    domains = list(spec.domains)
-    if root_values is not None:
-        bad = set(root_values) - set(domains[0])
-        if bad:
-            raise UsageError(f"root values {sorted(bad)} outside the first slot's domain")
-        domains[0] = tuple(root_values)
-    check_budget(target, prod(len(d) for d in domains), allow_long_run)
+    check_budget(target, assignment_count(spec), allow_long_run)
     m = target.element_count
     grid = [list(row) for row in spec.template]
     triples = _triple_multisets(m)
     slots = spec.slots
+    domains = spec.domains
     depth_max = len(slots)
     accepted = 0
 
@@ -199,30 +190,12 @@ def dump_labeled_tables(target: TargetGraph, path, **kwargs) -> int:
         return enumerate_labeled(target, write, **kwargs)
 
 
-def _root_catalog(target: TargetGraph, root: int) -> ClassCatalog:
-    """Classify the tables of one first-slot branch (the budget is checked by the caller)."""
-    catalog = ClassCatalog()
-    enumerate_labeled(target, catalog.insert, allow_long_run=True, root_values=(root,))
-    return catalog
-
-
-def oracle_classes(target: TargetGraph, *, jobs: int = 1, allow_long_run: bool = False):
+def oracle_classes(target: TargetGraph, *, allow_long_run: bool = False) -> ClassCatalog:
     """Enumerate labelled tables and classify them up to isomorphism.
 
-    Each first-slot branch is enumerated and classified into its own
-    catalog, in separate processes when ``jobs > 1``; the parts are
-    merged in slot order, so the catalog does not depend on ``jobs``.
+    One serial search inserts every accepted table into one catalog, in
+    slot order; ``enumerate_labeled`` applies the budget check.
     """
-    spec = seed_partial_table(target)
-    check_budget(target, assignment_count(spec), allow_long_run)
-    classify_root = partial(_root_catalog, target)
-    roots = spec.domains[0]
-    if jobs > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(roots))) as pool:
-            parts = pool.map(classify_root, roots)
-    else:
-        parts = map(classify_root, roots)
     catalog = ClassCatalog()
-    for part in parts:
-        catalog.merge(part)
+    enumerate_labeled(target, catalog.insert, allow_long_run=allow_long_run)
     return catalog

@@ -14,7 +14,7 @@ from zdsemigroups.classify import (
 )
 from zdsemigroups.errors import UsageError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd
-from zdsemigroups.search import enumerate_labeled
+from zdsemigroups.search import enumerate_labeled, oracle_classes
 from zdsemigroups.tables import MulTable, permute_table
 
 
@@ -191,6 +191,12 @@ def test_pinned_key_groups_match_full_canonical():
 def test_catalog_shortcut_matches_full_canonical():
     # ClassCatalog's pinned-key shortcut against one full canonicalization
     # per table, on oracle tables and relabelings that move the pendant off m
+    def brute_catalog(tables):
+        brute = ClassCatalog()
+        for t in tables:
+            brute.insert(t, key=canonical_form(t))
+        return [(e.key, e.multiplicity) for e in brute.entries()]
+
     rng = random.Random(3)
     for n in (3, 4):
         m = n + 1
@@ -202,10 +208,13 @@ def test_catalog_shortcut_matches_full_canonical():
                 j = rng.randrange(1, m)
                 perm[m], perm[j] = perm[j], perm[m]
             tables.append(permute_table(t, perm))
-        shortcut, brute = ClassCatalog(), ClassCatalog()
+        shortcut = ClassCatalog()
         for t in tables:
             shortcut.insert(t)
-            brute.insert(t, key=canonical_form(t))
-        assert [(e.key, e.multiplicity) for e in shortcut.entries()] == [
-            (e.key, e.multiplicity) for e in brute.entries()
-        ]
+        assert [(e.key, e.multiplicity) for e in shortcut.entries()] == brute_catalog(tables)
+    # the oracle's catalog, straight from the search
+    for target in (CompletePlusEnd(3), CompletePlusEnd(4), CompleteK(4)):
+        tables = []
+        enumerate_labeled(target, tables.append)
+        oracle = oracle_classes(target)
+        assert [(e.key, e.multiplicity) for e in oracle.entries()] == brute_catalog(tables)

@@ -31,11 +31,11 @@ COUNT_CASES = (
 def golden_outputs() -> dict[str, str]:
     out = {}
     for kind, n, method in COUNT_CASES:
-        report = build_count_report(kind, n, method, jobs=1)
+        report = build_count_report(kind, n, method)
         stem = f"count-{kind}-n{n}-{method}"
         out[f"{stem}.txt"] = render_count_report(report)
         out[f"{stem}.json"] = json.dumps(report.to_json_obj(), sort_keys=True)
-    rows, code = run_verification(1, 5, jobs=1)
+    rows, code = run_verification(1, 5)
     out["verify-1..5.txt"] = render_verification(rows, code)
     out["verify-1..5.exit"] = f"{code}\n"
     return out

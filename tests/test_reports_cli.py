@@ -19,14 +19,14 @@ from zdsemigroups.reports import (
 
 
 def test_count_report_kn_consistent():
-    report = build_count_report("kn", 3, "all", jobs=1)
+    report = build_count_report("kn", 3, "all")
     assert report.method_counts == {"formula": 7, "generator": 7, "oracle": 7}
     assert report.internally_consistent
     assert report.discrepancies == []
 
 
 def test_count_report_kn1_n3_adjudication():
-    report = build_count_report("kn1", 3, "all", jobs=1)
+    report = build_count_report("kn1", 3, "all")
     assert report.method_counts["generator"] == report.method_counts["oracle"]
     descriptions = [d.description for d in report.discrepancies]
     assert any("x*x = x" in d for d in descriptions)
@@ -49,9 +49,9 @@ def test_count_report_rejects_bad_input():
 
 
 def test_report_render_stable():
-    report = build_count_report("kn", 3, "all", jobs=1)
+    report = build_count_report("kn", 3, "all")
     assert render_count_report(report) == render_count_report(
-        build_count_report("kn", 3, "all", jobs=1)
+        build_count_report("kn", 3, "all")
     )
 
 
@@ -62,14 +62,14 @@ def test_report_json_roundtrip():
 
 
 def test_cli_count_kn_exit0(capsys):
-    code = main(["count", "--graph", "kn", "--n", "4", "--jobs", "1"])
+    code = main(["count", "--graph", "kn", "--n", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "formula   12" in out and "oracle    12" in out
 
 
 def test_cli_count_kn1_n4_exit0(capsys):
-    code = main(["count", "--graph", "kn1", "--n", "4", "--jobs", "1"])
+    code = main(["count", "--graph", "kn1", "--n", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "internal consistency: ok" in out
@@ -77,8 +77,7 @@ def test_cli_count_kn1_n4_exit0(capsys):
 
 def test_cli_count_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    code = main(["count", "--graph", "kn", "--n", "3", "--jobs", "1",
-                 "--out", str(out_path)])
+    code = main(["count", "--graph", "kn", "--n", "3", "--out", str(out_path)])
     capsys.readouterr()
     assert code == 0
     obj = json.loads(out_path.read_text())
@@ -86,8 +85,7 @@ def test_cli_count_writes_report(tmp_path, capsys):
 
 
 def test_cli_count_oracle_budget_refusal(capsys):
-    code = main(["count", "--graph", "kn1", "--n", "5", "--method", "oracle",
-                 "--jobs", "1"])
+    code = main(["count", "--graph", "kn1", "--n", "5", "--method", "oracle"])
     err = capsys.readouterr().err
     assert code == 2
     assert "desk-scale" in err
@@ -100,7 +98,7 @@ def test_cli_oracle_budget_refusal_ignores_cache(tmp_path, capsys, command, warm
     if warm:
         ResultsCache(cache_dir).put_catalog(
             "kn1", 5, "oracle", pendant_case_breakdown(5).merged_catalog())
-    argv = [command, "--graph", "kn1", "--n", "5", "--method", "oracle", "--jobs", "1",
+    argv = [command, "--graph", "kn1", "--n", "5", "--method", "oracle",
             "--cache-dir", str(cache_dir)]
     if command == "enumerate":
         argv += ["--out", str(tmp_path / "out.json")]
@@ -114,7 +112,7 @@ def test_cli_oracle_budget_refusal_ignores_cache(tmp_path, capsys, command, warm
 
 
 def test_cli_count_all_skips_oracle_over_budget(capsys):
-    code = main(["count", "--graph", "kn1", "--n", "5", "--jobs", "1"])
+    code = main(["count", "--graph", "kn1", "--n", "5"])
     out = capsys.readouterr().out
     assert code == 0
     assert "skipped" in out
@@ -122,7 +120,7 @@ def test_cli_count_all_skips_oracle_over_budget(capsys):
 
 def test_cli_enumerate_json(tmp_path, capsys):
     out_path = tmp_path / "k3.json"
-    code = main(["enumerate", "--graph", "kn", "--n", "3", "--jobs", "1",
+    code = main(["enumerate", "--graph", "kn", "--n", "3",
                  "--format", "json", "--out", str(out_path)])
     capsys.readouterr()
     assert code == 0
@@ -133,7 +131,7 @@ def test_cli_enumerate_json(tmp_path, capsys):
 
 def test_cli_enumerate_kn1_case_attach(tmp_path, capsys):
     out_path = tmp_path / "attach.json"
-    code = main(["enumerate", "--graph", "kn1", "--n", "3", "--jobs", "1",
+    code = main(["enumerate", "--graph", "kn1", "--n", "3",
                  "--case", "attach", "--out", str(out_path)])
     capsys.readouterr()
     assert code == 0
@@ -144,8 +142,7 @@ def test_cli_enumerate_kn1_case_attach(tmp_path, capsys):
 
 def test_cli_enumerate_kn_n1(tmp_path, capsys):
     out_path = tmp_path / "k1.json"
-    code = main(["enumerate", "--graph", "kn", "--n", "1", "--jobs", "1",
-                 "--out", str(out_path)])
+    code = main(["enumerate", "--graph", "kn", "--n", "1", "--out", str(out_path)])
     capsys.readouterr()
     assert code == 0
     reps = json.loads(out_path.read_text())
@@ -155,7 +152,7 @@ def test_cli_enumerate_kn_n1(tmp_path, capsys):
 
 def test_cli_enumerate_csv_and_dot(tmp_path, capsys):
     csv_path = tmp_path / "k3.csv"
-    code = main(["enumerate", "--graph", "kn", "--n", "3", "--jobs", "1",
+    code = main(["enumerate", "--graph", "kn", "--n", "3",
                  "--format", "csv", "--out", str(csv_path)])
     assert code == 0
     lines = csv_path.read_text().splitlines()
@@ -163,7 +160,7 @@ def test_cli_enumerate_csv_and_dot(tmp_path, capsys):
     assert len(lines) == 8  # header + 7 classes
 
     dot_path = tmp_path / "p3.dot"
-    code = main(["enumerate", "--graph", "kn1", "--n", "3", "--jobs", "1",
+    code = main(["enumerate", "--graph", "kn1", "--n", "3",
                  "--format", "dot", "--out", str(dot_path)])
     capsys.readouterr()
     assert code == 0
@@ -173,14 +170,14 @@ def test_cli_enumerate_csv_and_dot(tmp_path, capsys):
 
 
 def test_cli_enumerate_case_requires_kn1(capsys):
-    code = main(["enumerate", "--graph", "kn", "--n", "3", "--jobs", "1",
+    code = main(["enumerate", "--graph", "kn", "--n", "3",
                  "--case", "zero", "--out", "/tmp/unused.json"])
     capsys.readouterr()
     assert code == 2
 
 
 def test_cli_enumerate_io_error(tmp_path, capsys):
-    code = main(["enumerate", "--graph", "kn", "--n", "3", "--jobs", "1",
+    code = main(["enumerate", "--graph", "kn", "--n", "3",
                  "--out", str(tmp_path / "missing" / "k3.json")])
     err = capsys.readouterr().err
     assert code == 3
@@ -196,7 +193,7 @@ def test_cli_export_dot_stdout(capsys):
 
 
 def test_cli_verify_range(capsys):
-    code = main(["verify", "3", "--jobs", "1"])
+    code = main(["verify", "3"])
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS" in out and "summary:" in out
@@ -215,7 +212,7 @@ def run_zdsg(*argv):
 
 @pytest.mark.parametrize("text", ["a..b", "3..", "..4", "3..x", "x", ""])
 def test_cli_verify_malformed_range_exits_2(text):
-    result = run_zdsg("verify", text, "--jobs", "1")
+    result = run_zdsg("verify", text)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: range must look like")
@@ -223,7 +220,7 @@ def test_cli_verify_malformed_range_exits_2(text):
 
 
 def test_verify_boundary_findings():
-    rows, code = run_verification(1, 2, jobs=1)
+    rows, code = run_verification(1, 2)
     assert code == 0
     findings = [r for r in rows if r.status == "FINDING"]
     assert any("n=1" in r.label and "oracle=1 formula=2" in r.detail for r in findings)
@@ -231,24 +228,24 @@ def test_verify_boundary_findings():
 
 
 def test_verify_render_deterministic():
-    rows, code = run_verification(1, 1, jobs=1)
-    again, _ = run_verification(1, 1, jobs=1)
+    rows, code = run_verification(1, 1)
+    again, _ = run_verification(1, 1)
     assert render_verification(rows, code) == render_verification(again, code)
 
 
 def test_results_cache_round_trip(tmp_path):
     cache = ResultsCache(tmp_path)
-    report = build_count_report("kn1", 3, "oracle", jobs=1, cache=cache)
+    report = build_count_report("kn1", 3, "oracle", cache=cache)
     assert report.method_counts["oracle"] == 22
     cached = cache.get_catalog("kn1", 3, "oracle")
     assert cached is not None and cached.class_count == 22
     # second run hits the cache and agrees
-    report2 = build_count_report("kn1", 3, "oracle", jobs=1, cache=cache)
+    report2 = build_count_report("kn1", 3, "oracle", cache=cache)
     assert report2.method_counts["oracle"] == 22
 
 
 def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
-    argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle", "--jobs", "1",
+    argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     cold = capsys.readouterr().out

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from zdsemigroups.errors import BudgetError, UsageError
+from zdsemigroups.errors import BudgetError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
 from zdsemigroups.search import (
     DESK_SCALE_LIMIT,
@@ -99,17 +99,13 @@ def test_root_restriction_pendant_square_attach():
     # (The originally tabulated single table is the all-zero-squares one;
     # the workbench reports that deviation, see the attach-case finding.)
     seen = []
-    count = enumerate_labeled(CompletePlusEnd(3), seen.append, root_values=(1,))
-    assert count == 4
+    enumerate_labeled(CompletePlusEnd(3), seen.append)
+    seen = [t for t in seen if t.entries[4][4] == 1]
+    assert len(seen) == 4
     for t in seen:
         assert t.entries[2][4] == t.entries[3][4] == 1
         assert t.entries[1][1] == 0
         assert t.entries[2][2] in (0, 1) and t.entries[3][3] in (0, 1)
-
-
-def test_root_restriction_validates():
-    with pytest.raises(UsageError):
-        enumerate_labeled(CompleteK(2), root_values=(9,))
 
 
 def test_budget_refusal():
@@ -133,16 +129,6 @@ def test_oracle_classes_k3():
     catalog = oracle_classes(CompleteK(3))
     assert catalog.class_count == 7
     assert catalog.labeled_count == enumerate_labeled(CompleteK(3))
-
-
-def test_parallel_matches_serial():
-    for target in (CompletePlusEnd(3), CompleteK(4), CompletePlusEnd(4)):
-        serial = oracle_classes(target, jobs=1)
-        parallel = oracle_classes(target, jobs=2)
-        assert serial.keys() == parallel.keys()
-        assert [e.multiplicity for e in serial.entries()] == [
-            e.multiplicity for e in parallel.entries()
-        ]
 
 
 def test_ndjson_dump(tmp_path):
