@@ -2,92 +2,181 @@
 
 Two tables are isomorphic when some permutation of the nonzero elements
 (0 stays put) carries one onto the other.  The canonical form of a table
-is the lexicographically smallest flattened upper triangle over all such
-relabelings; at desk scale (m <= 8) minimizing over all m! permutations
-with early-exit comparison is fast enough and leaves nothing to argue
-about.
+is the lexicographically smallest flattened upper triangle over all m!
+such relabelings.
 
-``ClassCatalog`` does all classification.  For a table whose graph has
-a pendant it runs the full minimization only for a pendant-pinned key
-(the minimum over the (m-2)! relabelings fixing pendant and neighbor)
-it has not seen, so each class costs one full canonicalization.  Equal
-pinned keys mean the tables relabel onto one table, so this is sound
-for any input.
+The minimum is found by a search over ordered partitions of 1..m.  The
+blocks take consecutive positions in order, and a partition stands for
+every order that puts each block's elements, in any order, at that
+block's positions.  The search reads the key cells (u, v) in order.  A
+cell is fixed when every allowed order gives it one value: all pairs of
+elements that can stand at u and v have product 0, or all have one
+product that is alone in its block.  Since all earlier cells are fixed,
+an order reaches the minimal key only if it takes the first unfixed cell
+to its least value, so each of the three moves made there keeps every
+such order:
+
+- force: all pairs have one product p, and p's block holds neither u
+  nor v.  The cell is least exactly when p leads its block, so p is
+  moved to the front of it.
+- split: the element at u is fixed, and the least value of the cell lies
+  in the range of 0 or of a block other than v's block B.  The elements
+  of B whose products reach that range are moved to the front of B.
+  Ranges of different blocks never overlap, and exchanging two elements
+  of B moves no product in that range, so an order that puts another
+  element of B ahead of them is beaten by a swap.
+- branch: otherwise the search puts one element at the front of the
+  block of u (or of v, once u is fixed), once for each element that
+  lets the cell reach its least value.  When the least value lies
+  inside B itself, a swap inside B moves the product too, so splitting
+  would be wrong there.  Of elements whose transposition is a table
+  automorphism (twins) only one is tried, because both give the same
+  keys.
+
+Each move keeps a subset of the orders, so the search visits at most m!
+leaves, as brute force would, and returns the same key.
+``ClassCatalog`` keys every table with ``canonical_form``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import permutations
-from typing import Iterator, Optional
+from functools import cache
+from typing import Optional
 
 from .errors import UsageError
 from .graphs import CompleteK, build_zd_graph, recognize_target
 from .tables import MulTable, table_from_json, table_to_json
 
 CanonicalKey = tuple  # flat upper triangle of the minimal relabeling
+MAX_HEX_ELEMENTS = 15  # one hex digit per key value
 
 
-def _upper_cells(m: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+def _least_position(p: int, x: int, y: int, u: int, v: int, of: list[int], start: list[int]) -> int:
+    """Least position of product p once x stands at u and y at v.
+
+    u and v lead their blocks, or v follows u in u's block.  That holds at
+    the first unfixed cell: a cell further inside the same blocks sees
+    the same pairs as an earlier cell, so it is fixed when that one is.
+    """
+    if p == 0:
+        return 0
+    if p == x:
+        return u
+    if p == y:
+        return v
+    pos = start[of[p]]
+    while pos == u or pos == v:
+        pos += 1
+    return pos
 
 
-def _minimize(table: MulTable, orders: Iterator[tuple[int, ...]]) -> tuple[int, ...]:
-    """Smallest flattened relabeling over the given element orderings.
+def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
+    """Least flattened relabeling over the orders that ``blocks`` allows.
 
-    ``order[i]`` is the old element placed at new position i+1.
+    ``blocks`` is an ordered partition of 1..m; see the module docstring
+    for the search.
     """
     ent = table.entries
     m = table.m
-    cells = _upper_cells(m)
-    best: Optional[list[int]] = None
-    for order in orders:
-        pos = [0] * (m + 1)
-        for new_id, old in enumerate(order, 1):
-            pos[old] = new_id
-        if best is None:
-            best = [pos[ent[order[u - 1]][order[v - 1]]] for u, v in cells]
-            continue
-        cand: list[int] = []
-        improved = False
-        rejected = False
-        for idx, (u, v) in enumerate(cells):
-            val = pos[ent[order[u - 1]][order[v - 1]]]
-            if not improved:
-                ref = best[idx]
-                if val > ref:
-                    rejected = True
+    cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+    best: list[int] = []
+
+    @cache
+    def twin(z: int, w: int) -> bool:
+        """True when exchanging z and w maps the table onto itself."""
+        tau = list(range(m + 1))
+        tau[z], tau[w] = w, z
+        return all(
+            ent[tau[i]][tau[j]] == tau[ent[i][j]]
+            for i in range(1, m + 1)
+            for j in range(i, m + 1)
+        )
+
+    def descend(blocks: list[list[int]], prefix: list[int]) -> None:
+        tight = bool(best) and best[: len(prefix)] == prefix
+        while True:
+            of = [0] * (m + 1)  # element -> block index
+            at = [0]  # position -> block index
+            start: list[int] = []  # block index -> first position
+            for k, block in enumerate(blocks):
+                start.append(len(at))
+                for e in block:
+                    of[e] = k
+                    at.append(k)
+            for c in range(len(prefix), len(cells)):
+                u, v = cells[c]
+                row, col = blocks[at[u]], blocks[at[v]]
+                if u == v:
+                    prods = {ent[x][x] for x in row}
+                else:
+                    prods = {ent[x][y] for x in row for y in col if x != y}
+                if len(prods) == 1:
+                    (p,) = prods
+                    if p == 0 or len(blocks[of[p]]) == 1:
+                        val = start[of[p]] if p else 0
+                        if tight:
+                            if val > best[c]:
+                                return
+                            tight = val == best[c]
+                        prefix.append(val)
+                        continue
+                    if of[p] not in (at[u], at[v]):
+                        k = of[p]
+                        parts = [[p], [e for e in blocks[k] if e != p]]  # force
+                        break
+                if len(row) > 1:
+                    k = at[u]
+                    if u == v:
+                        lows = {x: _least_position(ent[x][x], x, x, u, v, of, start) for x in row}
+                    else:
+                        lows = {
+                            x: min(
+                                _least_position(ent[x][y], x, y, u, v, of, start)
+                                for y in col
+                                if y != x
+                            )
+                            for x in row
+                        }
+                else:
+                    k = at[v]
+                    a = row[0]
+                    lows = {y: _least_position(ent[a][y], a, y, u, v, of, start) for y in col}
+                low = min(lows.values())
+                reach = [e for e in blocks[k] if lows[e] == low]
+                if len(row) == 1 and not v <= low < v + len(col) and len(reach) < len(col):
+                    parts = [reach, [e for e in col if lows[e] != low]]  # split
                     break
-                if val < ref:
-                    improved = True
-            cand.append(val)
-        if improved and not rejected:
-            best = cand
-    assert best is not None
+                tried: list[int] = []  # branch, once per twin class
+                for x in reach:
+                    if any(twin(x, r) for r in tried):
+                        continue
+                    tried.append(x)
+                    rest = [e for e in blocks[k] if e != x]
+                    descend(blocks[:k] + [[x], rest] + blocks[k + 1 :], list(prefix))
+                return
+            else:  # every cell is fixed: a leaf
+                if not tight:
+                    best[:] = prefix
+                return
+            blocks = blocks[:k] + parts + blocks[k + 1 :]  # block k refined
+
+    descend([block for block in blocks if block], [])
     return tuple(best)
 
 
 def canonical_form(table: MulTable) -> CanonicalKey:
     """Canonical key: minimum flattened table over all m! relabelings."""
-    m = table.m
-    return _minimize(table, permutations(range(1, m + 1)))
+    return _least_key(table, [list(range(1, table.m + 1))])
 
 
 def pendant_pinned_key(table: MulTable, pendant: int, neighbor: int) -> CanonicalKey:
     """Minimum over relabelings that pin the pendant to m and its neighbor to 1.
 
-    Tables with equal pinned keys are isomorphic; ``ClassCatalog`` uses
-    this to canonicalize once per class.  For clique size >= 3 every
-    isomorphism preserves the pendant, so each class has one pinned key.
+    Nothing in the package calls it; perfbench's tracer binds it by name.
     """
-    m = table.m
-    middle = [u for u in range(1, m + 1) if u not in (pendant, neighbor)]
-
-    def orders():
-        for perm in permutations(middle):
-            yield (neighbor, *perm, pendant)
-
-    return _minimize(table, orders())
+    middle = [u for u in range(1, table.m + 1) if u not in (pendant, neighbor)]
+    return _least_key(table, [[neighbor], middle, [pendant]])
 
 
 def table_from_key(key: CanonicalKey) -> MulTable:
@@ -106,8 +195,8 @@ def table_from_key(key: CanonicalKey) -> MulTable:
 
 
 def key_to_hex(key: CanonicalKey) -> str:
-    if any(v > 15 for v in key):
-        raise UsageError("hex keys support at most 15 nonzero elements")
+    if any(v > MAX_HEX_ELEMENTS for v in key):
+        raise UsageError(f"hex keys support at most {MAX_HEX_ELEMENTS} nonzero elements")
     return "".join(format(v, "x") for v in key)
 
 
@@ -132,27 +221,14 @@ class ClassCatalog:
     """
 
     _classes: dict[CanonicalKey, ClassEntry] = field(default_factory=dict)
-    # pendant-pinned key -> canonical key, so each class is minimized once
-    _pinned: dict[CanonicalKey, CanonicalKey] = field(default_factory=dict, compare=False)
 
     def __repr__(self) -> str:
         return f"ClassCatalog(classes={self.class_count}, labeled={self.labeled_count})"
 
-    def key_of(self, table: MulTable) -> CanonicalKey:
-        """Canonical key, fully minimized at most once per pendant-pinned key."""
-        rec = recognize_target(build_zd_graph(table))
-        if rec is None or rec.pendant is None:
-            return canonical_form(table)
-        pinned = pendant_pinned_key(table, rec.pendant, rec.neighbor)
-        key = self._pinned.get(pinned)
-        if key is None:
-            key = self._pinned[pinned] = canonical_form(table)
-        return key
-
     def insert(self, table: MulTable, key: Optional[CanonicalKey] = None) -> bool:
         """Insert one labelled table; True when a new class was created."""
         if key is None:
-            key = self.key_of(table)
+            key = canonical_form(table)
         entry = self._classes.get(key)
         if entry is not None:
             entry.multiplicity += 1

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional
 
-from .classify import ClassCatalog
+from .classify import MAX_HEX_ELEMENTS, ClassCatalog
 from .counting import generate_clique_classes, pendant_case_breakdown, pendant_square_case
 from .errors import UsageError
 from .reports import (
@@ -25,6 +25,7 @@ from .reports import (
     render_count_report,
     render_verification,
     run_verification,
+    sized_target,
     write_catalog,
 )
 
@@ -90,6 +91,8 @@ def _select_catalog(args, cache):
 def cmd_enumerate(args) -> int:
     if args.case and args.graph != "kn1":
         raise UsageError("--case applies to pendant targets only")
+    if sized_target(args.graph, args.n).element_count > MAX_HEX_ELEMENTS:
+        raise UsageError(f"hex keys support at most {MAX_HEX_ELEMENTS} nonzero elements")
     catalog = _select_catalog(args, _cache(args))
     write_catalog(args.graph, args.n, catalog, args.out, args.format)
     sys.stdout.write(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Optional
 
-from .classify import ClassCatalog
+from .classify import ClassCatalog, canonical_form
 from .errors import UsageError
 from .graphs import CompletePlusEnd, build_zd_graph, recognize_target
 from .tables import MulTable, check_associativity
@@ -496,14 +496,13 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
 
-    The catalog canonicalizes once per class; the fixed-point count r
-    is checked to be constant on each class.
+    The fixed-point count r is checked to be constant on each class.
     """
     _require_pendant_size(n)
     catalog = ClassCatalog()
     key_fixed: dict[tuple, int] = {}
     for table, r in _iter_self_case_tables(n):
-        key = catalog.key_of(_validated(table, n))
+        key = canonical_form(_validated(table, n))
         catalog.insert(table, key=key)
         if key_fixed.setdefault(key, r) != r:
             raise RuntimeError("fixed-point count is not constant on a class")

@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .classify import ClassCatalog, canonical_form, key_to_hex, square_profile
+from .classify import (
+    ClassCatalog,
+    ClassEntry,
+    canonical_form,
+    key_to_hex,
+    square_profile,
+    table_from_key,
+)
 from .counting import (
     STRATUM_RULES,
     TABULATED_COUNTS,
@@ -57,7 +64,7 @@ from .search import (
     oracle_classes,
     seed_partial_table,
 )
-from .tables import check_associativity, permute_table, table_to_json
+from .tables import check_associativity, is_zd_semigroup, permute_table, table_to_json
 
 METHODS = ("formula", "generator", "oracle")
 
@@ -70,8 +77,35 @@ def target_for(kind: str, n: int) -> TargetGraph:
     raise UsageError(f"unknown graph kind {kind!r}; expected 'kn' or 'kn1'")
 
 
+def sized_target(kind: str, n: int) -> TargetGraph:
+    """The target graph, refused with ``UsageError`` below the sizes the pipelines cover."""
+    if kind == "kn" and n < 1:
+        raise UsageError("complete graphs need n >= 1")
+    if kind == "kn1" and n < 3:
+        raise UsageError("pendant targets need n >= 3")
+    return target_for(kind, n)
+
+
 def oracle_fits_budget(kind: str, n: int) -> bool:
     return assignment_count(seed_partial_table(target_for(kind, n))) <= DESK_SCALE_LIMIT
+
+
+def _check_cached_class(entry: ClassEntry, target: TargetGraph) -> None:
+    """Raise ``ValueError`` unless the entry holds a canonical table of ``target``.
+
+    The representative must be the table its key spells, reproduce that
+    key under ``canonical_form``, be a zero-divisor semigroup and realize
+    exactly the target graph.
+    """
+    table = entry.representative
+    hex_key = key_to_hex(entry.key)
+    if canonical_form(table) != entry.key or table != table_from_key(entry.key):
+        raise ValueError(f"class {hex_key} does not reproduce its key")
+    if not is_zd_semigroup(table):
+        raise ValueError(f"class {hex_key} is not a zero-divisor semigroup")
+    rec = recognize_target(build_zd_graph(table))
+    if rec is None or rec.target != target:
+        raise ValueError(f"class {hex_key} does not realize the target graph")
 
 
 class ResultsCache:
@@ -85,13 +119,22 @@ class ResultsCache:
         return self.directory / f"{kind}-n{n}-{method}-v{__version__}.json"
 
     def get_catalog(self, kind: str, n: int, method: str) -> Optional[ClassCatalog]:
-        """The cached catalog, or None on a miss; an unreadable entry is a miss."""
+        """The cached catalog, or None on a miss.
+
+        An unreadable entry is a miss, and so is one with a class whose
+        representative fails ``_check_cached_class``.  Multiplicities are
+        trusted as read.
+        """
         path = self._path(kind, n, method)
         if not path.exists():
             return None
         try:
             with open(path) as fh:
-                return ClassCatalog.from_json_obj(json.load(fh))
+                catalog = ClassCatalog.from_json_obj(json.load(fh))
+            target = target_for(kind, n)
+            for entry in catalog.entries():
+                _check_cached_class(entry, target)
+            return catalog
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"warning: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
             return None
@@ -329,10 +372,7 @@ def build_count_report(kind: str, n: int, method: str = "all", *, allow_long_run
     """Run the requested pipelines for one target and assemble the report."""
     if method not in (*METHODS, "all"):
         raise UsageError(f"unknown method {method!r}")
-    if kind == "kn" and n < 1:
-        raise UsageError("complete graphs need n >= 1")
-    if kind == "kn1" and n < 3:
-        raise UsageError("pendant targets need n >= 3")
+    sized_target(kind, n)
     # An explicit oracle request is refused loudly rather than skipped.
     evidence = _run_pipelines(kind, n, METHODS if method == "all" else (method,),
                               allow_long_run=allow_long_run, cache=cache,

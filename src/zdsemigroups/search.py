@@ -17,7 +17,6 @@ three are already determined.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterator, Optional
@@ -25,7 +24,7 @@ from typing import Callable, Iterator, Optional
 from .classify import ClassCatalog
 from .errors import BudgetError
 from .graphs import CompleteK, TargetGraph, build_zd_graph, recognize_target
-from .tables import MulTable, is_zd_semigroup, table_to_json
+from .tables import MulTable, is_zd_semigroup
 
 # Leaf-count ceiling for runs without the long-run flag.  The pendant
 # target at n=4 (~10^6 assignments) must fit; n=5 (~1.5*10^8) must not.
@@ -179,15 +178,6 @@ def enumerate_labeled(
 
     descend(0)
     return accepted
-
-
-def dump_labeled_tables(target: TargetGraph, path, **kwargs) -> int:
-    """Write accepted labelled tables as newline-delimited JSON."""
-    with open(path, "w") as fh:
-        def write(table: MulTable) -> None:
-            fh.write(json.dumps(table_to_json(table), sort_keys=True) + "\n")
-
-        return enumerate_labeled(target, write, **kwargs)
 
 
 def oracle_classes(target: TargetGraph, *, allow_long_run: bool = False) -> ClassCatalog:

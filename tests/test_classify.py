@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pendant_reference import class_key
 from zdsemigroups.classify import (
     ClassCatalog,
     canonical_form,
@@ -63,9 +64,59 @@ def test_canonical_separates_k2_k3_orbits():
     for target in (CompleteK(2), CompleteK(3)):
         tables = []
         enumerate_labeled(target, tables.append)
-        for t1, t2 in itertools.combinations(tables, 2):
-            same_key = canonical_form(t1) == canonical_form(t2)
-            assert same_key == explicitly_isomorphic(t1, t2)
+        keys = [canonical_form(t) for t in tables]
+        for (t1, k1), (t2, k2) in itertools.combinations(zip(tables, keys), 2):
+            assert (k1 == k2) == explicitly_isomorphic(t1, t2)
+
+
+def random_symmetric_table(rng, m):
+    """Symmetric table with zero, not necessarily associative.
+
+    Entries come from a random number of values, so that products often
+    land among few elements and tables have many symmetries.
+    """
+    values = rng.sample(range(m + 1), rng.randint(1, m + 1))
+    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    for u in range(1, m + 1):
+        for v in range(u, m + 1):
+            grid[u][v] = grid[v][u] = rng.choice(values)
+    return MulTable.from_rows(grid)
+
+
+def pinned_brute_force(table, pendant, neighbor):
+    """Least flattened relabeling with the neighbor first and the pendant last."""
+    m = table.m
+    ent = table.entries
+    middle = [u for u in range(1, m + 1) if u not in (pendant, neighbor)]
+    cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+    keys = []
+    for perm in itertools.permutations(middle):
+        order = (neighbor, *perm, pendant)
+        pos = [0] * (m + 1)
+        for new, old in enumerate(order, 1):
+            pos[old] = new
+        keys.append(tuple(pos[ent[order[u - 1]][order[v - 1]]] for u, v in cells))
+    return min(keys)
+
+
+def test_canonical_form_matches_brute_force():
+    # the partition search against the package-free minimum over all m!
+    # relabelings: oracle tables, a relabeling of each, and random tables
+    # that need not be associative
+    rng = random.Random(6)
+    tables = []
+    for target in [CompleteK(n) for n in range(1, 6)] + [CompletePlusEnd(n) for n in (2, 3, 4)]:
+        enumerate_labeled(target, tables.append)
+    tables += [permute_table(t, [0] + rng.sample(range(1, t.m + 1), t.m)) for t in tables]
+    tables += [random_symmetric_table(rng, rng.randint(1, 6)) for _ in range(2000)]
+    for t in tables:
+        assert canonical_form(t) == class_key(t.entries), t.entries
+    for t in tables[-300:]:
+        if t.m >= 2:
+            pendant, neighbor = rng.sample(range(1, t.m + 1), 2)
+            assert pendant_pinned_key(t, pendant, neighbor) == pinned_brute_force(
+                t, pendant, neighbor
+            ), t.entries
 
 
 def test_key_shape_and_reconstruction():
@@ -169,10 +220,10 @@ def test_profile_signature_matches_canonical_classes():
     for n in (3, 4):
         tables = []
         enumerate_labeled(CompleteK(n), tables.append)
-        for t1, t2 in itertools.combinations(tables, 2):
-            same_key = canonical_form(t1) == canonical_form(t2)
-            same_sig = square_profile(t1).signature == square_profile(t2).signature
-            assert same_key == same_sig
+        keys = [canonical_form(t) for t in tables]
+        signatures = [square_profile(t).signature for t in tables]
+        for (k1, s1), (k2, s2) in itertools.combinations(zip(keys, signatures), 2):
+            assert (k1 == k2) == (s1 == s2)
 
 
 def test_pinned_key_groups_match_full_canonical():
@@ -189,12 +240,12 @@ def test_pinned_key_groups_match_full_canonical():
 
 
 def test_catalog_shortcut_matches_full_canonical():
-    # ClassCatalog's pinned-key shortcut against one full canonicalization
-    # per table, on oracle tables and relabelings that move the pendant off m
+    # ClassCatalog against the package-free brute-force key per table, on
+    # oracle tables and relabelings that move the pendant off m
     def brute_catalog(tables):
         brute = ClassCatalog()
         for t in tables:
-            brute.insert(t, key=canonical_form(t))
+            brute.insert(t, key=class_key(t.entries))
         return [(e.key, e.multiplicity) for e in brute.entries()]
 
     rng = random.Random(3)

@@ -260,3 +260,67 @@ def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [entry]
     assert ResultsCache(tmp_path).get_catalog("kn1", 3, "oracle").class_count == 22
     assert capsys.readouterr().err == ""
+
+
+def test_enumerate_refuses_small_pendant_target(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = main(["enumerate", "--graph", "kn1", "--n", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: pendant targets need n >= 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, n", (("kn", 16), ("kn1", 15)))
+def test_enumerate_refuses_unkeyable_size_before_work(tmp_path, capsys, monkeypatch, kind, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a generator ran before the size check")
+
+    monkeypatch.setattr("zdsemigroups.cli.generate_clique_classes", no_work)
+    monkeypatch.setattr("zdsemigroups.cli.pendant_case_breakdown", no_work)
+    out = tmp_path / "out.json"
+    code = main(["enumerate", "--graph", kind, "--n", str(n), "--method", "generator",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: hex keys support at most 15 nonzero elements\n"
+    assert not out.exists()
+
+
+def _tamper_first_class(entry_path, edit):
+    obj = json.loads(entry_path.read_text())
+    edit(obj[0])
+    entry_path.write_text(json.dumps(obj, sort_keys=True))
+
+
+def _swap_two_key_digits(item):
+    key = item["key"]
+    i = next(i for i in range(len(key) - 1) if key[i] != key[i + 1])
+    item["key"] = key[:i] + key[i + 1] + key[i] + key[i + 2:]
+
+
+def _change_one_cell(item):
+    # a clique square of the last element, kept symmetric by living on the diagonal
+    grid = item["table"]["entries"]
+    m = item["table"]["m"]
+    grid[m - 1][m - 1] = (grid[m - 1][m - 1] + 1) % (m + 1)
+
+
+@pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell))
+def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
+    argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    (entry,) = tmp_path.iterdir()
+    intact = entry.read_text()
+    _tamper_first_class(entry, edit)
+    assert ResultsCache(tmp_path).get_catalog("kn1", 3, "oracle") is None
+    assert capsys.readouterr().err.startswith("warning: ignoring unreadable cache entry")
+
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.startswith("warning: ignoring unreadable cache entry")
+    assert entry.read_text() == intact

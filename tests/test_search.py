@@ -7,7 +7,6 @@ from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, reco
 from zdsemigroups.search import (
     DESK_SCALE_LIMIT,
     assignment_count,
-    dump_labeled_tables,
     enumerate_labeled,
     iter_candidate_tables,
     oracle_classes,
@@ -129,15 +128,3 @@ def test_oracle_classes_k3():
     catalog = oracle_classes(CompleteK(3))
     assert catalog.class_count == 7
     assert catalog.labeled_count == enumerate_labeled(CompleteK(3))
-
-
-def test_ndjson_dump(tmp_path):
-    import json
-
-    path = tmp_path / "tables.ndjson"
-    count = dump_labeled_tables(CompleteK(2), path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == count == 6
-    for line in lines:
-        obj = json.loads(line)
-        assert obj["m"] == 2 and len(obj["entries"]) == 3
