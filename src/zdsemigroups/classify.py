@@ -276,9 +276,10 @@ class ClassCatalog:
         catalog = cls()
         for item in obj:
             key = key_from_hex(item["key"])
-            catalog._classes[key] = ClassEntry(
-                key, table_from_json(item["table"]), int(item["multiplicity"])
-            )
+            multiplicity = item["multiplicity"]
+            if type(multiplicity) is not int or multiplicity < 1:
+                raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
+            catalog._classes[key] = ClassEntry(key, table_from_json(item["table"]), multiplicity)
         return catalog
 
 

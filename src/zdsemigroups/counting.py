@@ -38,6 +38,7 @@ the deviation is surfaced as a discrepancy finding.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -215,10 +216,8 @@ def _pendant_layout(table: MulTable) -> tuple[int, int, int]:
     return rec.target.n, rec.pendant, rec.neighbor
 
 
-def pendant_square_case(table: MulTable) -> str:
-    """Which of the four pendant-square cases a table belongs to."""
-    _, pendant, neighbor = _pendant_layout(table)
-    sq = table.entries[pendant][pendant]
+def _square_case(ent, pendant: int, neighbor: int) -> str:
+    sq = ent[pendant][pendant]
     if sq == 0:
         return "zero"
     if sq == pendant:
@@ -226,6 +225,12 @@ def pendant_square_case(table: MulTable) -> str:
     if sq == neighbor:
         return "attach"
     return "other"
+
+
+def pendant_square_case(table: MulTable) -> str:
+    """Which of the four pendant-square cases a table belongs to."""
+    _, pendant, neighbor = _pendant_layout(table)
+    return _square_case(table.entries, pendant, neighbor)
 
 
 def pendant_fixed_points(table: MulTable) -> int:
@@ -241,6 +246,9 @@ def pendant_fixed_points(table: MulTable) -> int:
 
 # ---------------------------------------------------------------------------
 # pendant case checks (on tables with the forced zero pattern)
+#
+# Each ``_*_holds`` body takes the pendant and neighbor from its caller and
+# assumes the pendant's square puts the table in its case.
 
 
 def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> bool:
@@ -251,38 +259,14 @@ def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> 
     )
 
 
-def _check_pointer_family(table: MulTable, case: str) -> bool:
-    """Shared body of the zero and attach checks, keyed on the pendant's square."""
-    _, pendant, neighbor = _pendant_layout(table)
-    ent = table.entries
-    if ent[pendant][pendant] != (0 if case == "zero" else neighbor):
-        raise UsageError(f"table is not in the pendant-square-{case} case")
+def _pointer_family_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
+    """Shared body of the zero and attach checks."""
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
-    return _sent_to_neighbor(ent, others, pendant, neighbor)
+    return _sent_to_neighbor(table.entries, others, pendant, neighbor)
 
 
-def check_pendant_square_zero(table: MulTable) -> bool:
-    """x*x = 0 case: neighbor squares to 0, every other clique element is
-    sent to the neighbor by the pendant and squares to 0 or the neighbor."""
-    return _check_pointer_family(table, "zero")
-
-
-def check_pendant_square_self(table: MulTable) -> bool:
-    """x*x = x case: the four structure conditions.
-
-    (1) every non-neighbor clique element is sent by the pendant into the
-        non-neighbor clique, and at least one is fixed;
-    (2) a non-fixed element maps to a fixed element that squares to 0,
-        and itself squares to 0 or the neighbor;
-    (3) a fixed element squares to 0, itself, or a fixed element that
-        squares to 0;
-    (4) the neighbor squares to 0 or itself, and to 0 whenever some
-        other element squares to the neighbor.
-    """
-    n, pendant, neighbor = _pendant_layout(table)
+def _self_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
     ent = table.entries
-    if ent[pendant][pendant] != pendant:
-        raise UsageError("table is not in the pendant-square-self case")
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
     other_set = set(others)
     prod = {i: ent[i][pendant] for i in others}
@@ -319,18 +303,9 @@ def check_pendant_square_self(table: MulTable) -> bool:
     return True
 
 
-def check_pendant_square_attach(table: MulTable) -> bool:
-    """x*x = neighbor case: structurally the same as the zero case."""
-    return _check_pointer_family(table, "attach")
-
-
-def check_pendant_square_other(table: MulTable) -> bool:
-    """x*x = j for a non-neighbor clique element j: three sub-cases for j."""
-    _, pendant, neighbor = _pendant_layout(table)
+def _other_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
     ent = table.entries
     j = ent[pendant][pendant]
-    if j in (0, pendant, neighbor) or j > table.m:
-        raise UsageError("table is not in the pendant-square-other case")
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor, j)]
     if not _sent_to_neighbor(ent, others, pendant, neighbor):
         return False
@@ -344,15 +319,61 @@ def check_pendant_square_other(table: MulTable) -> bool:
     return False
 
 
+_CASE_HOLDS = {
+    "zero": _pointer_family_holds,
+    "self": _self_holds,
+    "attach": _pointer_family_holds,
+    "other": _other_holds,
+}
+
+
+def _check_case(table: MulTable, case: str) -> bool:
+    """Run one case's body; raises if the pendant's square is in another case."""
+    _, pendant, neighbor = _pendant_layout(table)
+    if _square_case(table.entries, pendant, neighbor) != case:
+        raise UsageError(f"table is not in the pendant-square-{case} case")
+    return _CASE_HOLDS[case](table, pendant, neighbor)
+
+
+def check_pendant_square_zero(table: MulTable) -> bool:
+    """x*x = 0 case: neighbor squares to 0, every other clique element is
+    sent to the neighbor by the pendant and squares to 0 or the neighbor."""
+    return _check_case(table, "zero")
+
+
+def check_pendant_square_self(table: MulTable) -> bool:
+    """x*x = x case: the four structure conditions.
+
+    (1) every non-neighbor clique element is sent by the pendant into the
+        non-neighbor clique, and at least one is fixed;
+    (2) a non-fixed element maps to a fixed element that squares to 0,
+        and itself squares to 0 or the neighbor;
+    (3) a fixed element squares to 0, itself, or a fixed element that
+        squares to 0;
+    (4) the neighbor squares to 0 or itself, and to 0 whenever some
+        other element squares to the neighbor.
+    """
+    return _check_case(table, "self")
+
+
+def check_pendant_square_attach(table: MulTable) -> bool:
+    """x*x = neighbor case: structurally the same as the zero case."""
+    return _check_case(table, "attach")
+
+
+def check_pendant_square_other(table: MulTable) -> bool:
+    """x*x = j for a non-neighbor clique element j: three sub-cases for j."""
+    return _check_case(table, "other")
+
+
 def pendant_conditions_hold(table: MulTable) -> bool:
-    """Dispatch to the matching case check by the pendant's square."""
-    check = {
-        "zero": check_pendant_square_zero,
-        "self": check_pendant_square_self,
-        "attach": check_pendant_square_attach,
-        "other": check_pendant_square_other,
-    }[pendant_square_case(table)]
-    return check(table)
+    """Run the matching case check, chosen by the pendant's square.
+
+    The graph is recognized once, for the case and the check together.
+    """
+    _, pendant, neighbor = _pendant_layout(table)
+    case = _square_case(table.entries, pendant, neighbor)
+    return _CASE_HOLDS[case](table, pendant, neighbor)
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +514,65 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
             yield MulTable.from_rows(grid), len(fixed)
 
 
+def _middle_relabelings(n: int) -> list[tuple[Callable, bytes]]:
+    """The (n-1)! relabelings of 2..n that fix 0, 1 and m, identity first.
+
+    Each is a gather and a rename.  For the row-major flattening ``flat``
+    of a table, ``bytes(gather(flat)).translate(rename)`` is the upper
+    triangle of the relabeled table: gather reads the old product that
+    lands on each cell, and rename gives that product its new id.
+    """
+    m = n + 1
+    cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+    relabelings = []
+    for middle in itertools.permutations(range(2, n + 1)):
+        new = (0, 1, *middle, m)  # new[u] is the new id of u
+        old = [0] * (m + 1)
+        for u, w in enumerate(new):
+            old[w] = u
+        gather = operator.itemgetter(*(old[u] * (m + 1) + old[v] for u, v in cells))
+        relabelings.append((gather, bytes(new).ljust(256, b"\0")))
+    return relabelings
+
+
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
 
-    The fixed-point count r is checked to be constant on each class.
+    Every emitted table puts the pendant at m and its neighbor at 1, and an
+    isomorphism between two such tables must keep both, so it relabels
+    only 2..n.  The conditions do not depend on the labels of 2..n, so
+    the tables of one class are exactly one orbit of those (n-1)!
+    relabelings.  The first table of an orbit is keyed by
+    ``canonical_form``, and the codes (flattened upper triangles) of its
+    other relabelings wait in ``pending`` with that key; the orbit's
+    other tables take it from there.  Every table is still validated and
+    inserted once, and the fixed-point count r is checked to be constant
+    on each class.  A code left in ``pending`` at the end names a
+    relabeling that was never emitted, so the case is not closed under
+    relabeling and the generator raises instead of miscounting.
     """
     _require_pendant_size(n)
+    relabelings = _middle_relabelings(n)
+    own_gather, _ = relabelings[0]  # the identity
     catalog = ClassCatalog()
     key_fixed: dict[tuple, int] = {}
+    pending: dict[bytes, tuple] = {}
     for table, r in _iter_self_case_tables(n):
-        key = canonical_form(_validated(table, n))
+        flat = tuple(itertools.chain.from_iterable(_validated(table, n).entries))
+        code = bytes(own_gather(flat))
+        key = pending.pop(code, None)
+        if key is None:
+            key = canonical_form(table)
+            for gather, rename in relabelings:
+                pending[bytes(gather(flat)).translate(rename)] = key
+            del pending[code]
         catalog.insert(table, key=key)
         if key_fixed.setdefault(key, r) != r:
             raise RuntimeError("fixed-point count is not constant on a class")
+    if pending:
+        raise RuntimeError(
+            f"x*x = x tables are not closed under relabeling: {len(pending)} never emitted"
+        )
     return PendantSelfResult(catalog, dict(sorted(Counter(key_fixed.values()).items())))
 
 

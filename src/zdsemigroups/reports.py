@@ -121,9 +121,9 @@ class ResultsCache:
     def get_catalog(self, kind: str, n: int, method: str) -> Optional[ClassCatalog]:
         """The cached catalog, or None on a miss.
 
-        An unreadable entry is a miss, and so is one with a class whose
-        representative fails ``_check_cached_class``.  Multiplicities are
-        trusted as read.
+        An unreadable entry is a miss, and so is one with a multiplicity
+        that is not a positive integer or a class whose representative
+        fails ``_check_cached_class``.
         """
         path = self._path(kind, n, method)
         if not path.exists():

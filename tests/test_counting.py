@@ -1,11 +1,16 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from pendant_reference import class_key
+from zdsemigroups import counting
+from zdsemigroups.classify import ClassCatalog, canonical_form
 from zdsemigroups.counting import (
     TABULATED_COUNTS,
     check_clique_squares,
     check_pendant_square_attach,
+    check_pendant_square_other,
     check_pendant_square_self,
     check_pendant_square_zero,
     clique_class_count,
@@ -214,6 +219,86 @@ def test_pendant_equivalence_exhaustive_n3():
         if associative != pendant_conditions_hold(table):
             mismatches += 1
     assert mismatches == 0
+
+
+def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
+    # every 7th candidate of n=3 covers all four cases, passing and failing
+    tables = list(itertools.islice(iter_candidate_tables(seed_partial_table(CompletePlusEnd(3))),
+                                   0, None, 7))
+    public = {
+        "zero": check_pendant_square_zero,
+        "self": check_pendant_square_self,
+        "attach": check_pendant_square_attach,
+        "other": check_pendant_square_other,
+    }
+    expected = [public[pendant_square_case(t)](t) for t in tables]
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return recognize_target(graph)
+
+    monkeypatch.setattr(counting, "recognize_target", counted)
+    assert [pendant_conditions_hold(t) for t in tables] == expected
+    assert len(calls) == len(tables)
+
+
+def test_case_checks_refuse_other_cases():
+    checks = {
+        "zero": check_pendant_square_zero,
+        "self": check_pendant_square_self,
+        "attach": check_pendant_square_attach,
+        "other": check_pendant_square_other,
+    }
+    samples = {c: generate_case(3).entries()[0].representative for c, generate_case in (
+        ("zero", generate_pendant_square_zero),
+        ("attach", generate_pendant_square_attach),
+        ("other", generate_pendant_square_other),
+    )}
+    samples["self"] = generate_pendant_square_self(3).catalog.entries()[0].representative
+    for case, check in checks.items():
+        for other, table in samples.items():
+            if other == case:
+                check(table)
+                continue
+            with pytest.raises(UsageError, match=f"^table is not in the pendant-square-{case} case$"):
+                check(table)
+
+
+def _keyed_reference(n, key_of):
+    """Self-case catalog and strata with every table keyed by ``key_of``."""
+    catalog = ClassCatalog()
+    key_fixed = {}
+    for table, r in counting._iter_self_case_tables(n):
+        key = key_of(table)
+        catalog.insert(table, key=key)
+        key_fixed[key] = r
+    return catalog, dict(sorted(Counter(key_fixed.values()).items()))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_self_orbit_keys_match_canonical_form(n):
+    result = generate_pendant_square_self(n)
+    got = [(e.key, e.multiplicity) for e in result.catalog.entries()]
+    key_ofs = [canonical_form]
+    if n <= 4:
+        key_ofs.append(lambda t: class_key(t.entries))
+    for key_of in key_ofs:
+        catalog, by_fixed_points = _keyed_reference(n, key_of)
+        assert got == [(e.key, e.multiplicity) for e in catalog.entries()]
+        assert result.by_fixed_points == by_fixed_points
+
+
+def test_self_generator_refuses_an_orbit_with_a_missing_table(monkeypatch):
+    tables = list(counting._iter_self_case_tables(4))
+    by_key = {}
+    for index, (table, _) in enumerate(tables):
+        by_key.setdefault(canonical_form(table), []).append(index)
+    dropped = next(indexes[1] for indexes in by_key.values() if len(indexes) > 1)
+    kept = tables[:dropped] + tables[dropped + 1:]
+    monkeypatch.setattr(counting, "_iter_self_case_tables", lambda n: iter(kept))
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        generate_pendant_square_self(4)
 
 
 def test_case_catalogs_pairwise_disjoint():

@@ -307,8 +307,7 @@ def _change_one_cell(item):
     grid[m - 1][m - 1] = (grid[m - 1][m - 1] + 1) % (m + 1)
 
 
-@pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell))
-def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
+def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -324,3 +323,17 @@ def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
     assert captured.out == cold
     assert captured.err.startswith("warning: ignoring unreadable cache entry")
     assert entry.read_text() == intact
+
+
+@pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell))
+def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
+    _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit)
+
+
+@pytest.mark.parametrize("multiplicity", (0, -7, "3", 2.9, True),
+                         ids=("zero", "negative", "string", "float", "bool"))
+def test_cache_entry_with_bad_multiplicity_is_a_miss(tmp_path, capsys, multiplicity):
+    def set_multiplicity(item):
+        item["multiplicity"] = multiplicity
+
+    _assert_tampered_entry_is_a_miss(tmp_path, capsys, set_multiplicity)
