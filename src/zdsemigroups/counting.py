@@ -98,19 +98,34 @@ STRATUM_RULES = (
 # partitions
 
 
+def _partition_columns(total: int, parts: int) -> Iterator[list[int]]:
+    """Columns i = 0..parts of p(j, i), each listed for j = 0..total.
+
+    p(j, i) counts the partitions of j into exactly i positive parts.
+    Column i follows from column i-1 and its own lower entries by
+    p(j, i) = p(j-1, i-1) + p(j-i, i), with p(0, 0) = 1, so two columns
+    are held at a time.
+    """
+    col = [1] + [0] * total
+    yield col
+    for i in range(1, parts + 1):
+        prev, col = col, [0] * (total + 1)
+        for j in range(i, total + 1):
+            col[j] = prev[j - 1] + col[j - i]
+        yield col
+
+
 @cache
 def count_partitions_exact(total: int, parts: int) -> int:
     """Number of partitions of ``total`` into exactly ``parts`` positive parts.
 
     Recurrence: p(j, i) = p(j-1, i-1) + p(j-i, i), with p(0, 0) = 1.
     """
-    if total == 0 and parts == 0:
-        return 1
-    if total <= 0 or parts <= 0 or parts > total:
+    if total < 0 or parts < 0:
         return 0
-    return count_partitions_exact(total - 1, parts - 1) + count_partitions_exact(
-        total - parts, parts
-    )
+    for col in _partition_columns(total, parts):
+        pass
+    return col[total]
 
 
 def iter_partitions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -142,8 +157,9 @@ def clique_class_count(n: int) -> int:
         raise UsageError("clique size must be >= 1")
     return (
         sum(
-            count_partitions_exact(n - t, k)
-            for k in range(1, n + 1)
+            col[n - t]
+            for k, col in enumerate(_partition_columns(n, n))
+            if k >= 1
             for t in range(0, n - k + 1)
         )
         + 1
@@ -648,25 +664,30 @@ def pendant_class_total(n: int) -> int:
     return pendant_case_breakdown(n).total
 
 
-def pendant_self_formula(n: int) -> int:
+def pendant_self_formula(n: int, *, by_fixed_points: Optional[dict[int, int]] = None) -> int:
     """x*x = x class count assembled from the stated stratum values.
 
-    Strata without a stated rule share one run of the generator.
+    Strata without a stated rule share one run of the generator, or
+    read ``by_fixed_points`` when a caller has that run already.
     """
     _require_pendant_size(n)
     values = [_stated_stratum_value(n, r) for r in range(1, n)]
     if None in values:
-        enumerated = generate_pendant_square_self(n).by_fixed_points
+        enumerated = (
+            generate_pendant_square_self(n).by_fixed_points
+            if by_fixed_points is None else by_fixed_points
+        )
         values = [enumerated.get(r, 0) if v is None else v for r, v in enumerate(values, 1)]
     return sum(values)
 
 
-def pendant_total_formula(n: int) -> int:
+def pendant_total_formula(n: int, *, by_fixed_points: Optional[dict[int, int]] = None) -> int:
     """Formula-method total: stated strata plus the closed per-case counts.
 
     Where a stated stratum value is wrong (r = 2 at n = 3) this deviates
     from the enumerated total; the reports surface that.
+    ``by_fixed_points`` is passed on to ``pendant_self_formula``.
     """
-    return pendant_self_formula(n) + sum(
+    return pendant_self_formula(n, by_fixed_points=by_fixed_points) + sum(
         pendant_case_formula(case, n) for case in ("zero", "attach", "other")
     )

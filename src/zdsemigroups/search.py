@@ -12,6 +12,19 @@ For a commutative table the associative law for every ordered triple is
 equivalent to, for each multiset {u, v, w}, the three products
 (uv)w, (vw)u, (uw)v agreeing; the pruner compares whichever of the
 three are already determined.
+
+The pruning is incremental.  Evaluating a multiset reads the cells of
+its pairs and then, for each pair product p, the cell (p, third
+element).  So cell (u, v) is read by {u, v, w} for every w, by
+{a, b, v} for every cell (a, b) whose value is u, and by {a, b, u} for
+every cell whose value is v.  After setting (u, v) the search rechecks
+just those multisets, finding the last two kinds through ``readers``,
+the assigned free cells listed by value.  Forced cells hold 0, and a
+product 0 reads only the zero row, so forced cells never read a free
+cell and ``readers`` leaves them out.  This prunes exactly the nodes a
+rescan of every multiset would: the forced template violates nothing,
+every node was checked before the search descended from it, and a
+multiset's three products change only through a cell they read.
 """
 
 from __future__ import annotations
@@ -106,15 +119,6 @@ def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:
         yield MulTable.from_rows(grid)
 
 
-def _triple_multisets(m: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (u, v, w)
-        for u in range(1, m + 1)
-        for v in range(u, m + 1)
-        for w in range(v, m + 1)
-    )
-
-
 def _partial_violation(g: list[list[int]], triples) -> bool:
     """Do two determined parenthesizations of some multiset disagree?"""
     for u, v, w in triples:
@@ -148,10 +152,13 @@ def enumerate_labeled(
     check_budget(target, assignment_count(spec), allow_long_run)
     m = target.element_count
     grid = [list(row) for row in spec.template]
-    triples = _triple_multisets(m)
     slots = spec.slots
     domains = spec.domains
     depth_max = len(slots)
+    # Triples that read a slot's cell (u, v) directly: {u, v, w} for every w.
+    direct = [tuple((u, v, w) for w in range(1, m + 1)) for u, v in slots]
+    # readers[p]: the assigned slot cells whose value is p.
+    readers: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
     accepted = 0
 
     def descend(depth: int) -> None:
@@ -168,11 +175,19 @@ def enumerate_labeled(
         u, v = slots[depth]
         row_u = grid[u]
         row_v = grid[v]
+        # A cell (a, b) whose value is u reads (u, v) in {a, b, v}, and
+        # one whose value is v reads it in {a, b, u}.
+        triples = direct[depth] + tuple((a, b, v) for a, b in readers[u])
+        if u != v:
+            triples += tuple((a, b, u) for a, b in readers[v])
         for val in domains[depth]:
             row_u[v] = val
             row_v[u] = val
             if not prune or not _partial_violation(grid, triples):
+                reading = readers[val]
+                reading.append((u, v))
                 descend(depth + 1)
+                reading.pop()
         row_u[v] = UNSET
         row_v[u] = UNSET
 

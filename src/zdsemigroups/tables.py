@@ -11,6 +11,7 @@ construction*; associativity is a separate property checked on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import UsageError
@@ -62,7 +63,7 @@ class MulTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "MulTable":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
 
 def mul(table: MulTable, u: int, v: int) -> int:
@@ -74,21 +75,27 @@ def mul(table: MulTable, u: int, v: int) -> int:
 
 
 def check_associativity(table: MulTable) -> Optional[AssocWitness]:
-    """Scan all nonzero triples (u, v, w) in lexicographic order.
+    """Check all nonzero triples (u, v, w) in lexicographic order.
 
     Returns ``None`` when (uv)w = u(vw) for every triple, otherwise the
     first failing witness.  Triples involving 0 hold trivially and are
-    skipped.
+    skipped.  Each pair (u, v) compares the whole row of (uv)w with that
+    of u(vw) at once, and only a pair whose rows differ is scanned over
+    w for the witness.
     """
     ent = table.entries
     m = table.m
+    # gather[v](row_u) is the row of u(vw) over every w, zero column included.
+    gather = [itemgetter(*row) for row in ent]
     for u in range(1, m + 1):
         row_u = ent[u]
         for v in range(1, m + 1):
-            uv = row_u[v]
+            uv_row = ent[row_u[v]]
+            if uv_row == gather[v](row_u):
+                continue
             row_v = ent[v]
             for w in range(1, m + 1):
-                lhs = ent[uv][w]
+                lhs = uv_row[w]
                 rhs = row_u[row_v[w]]
                 if lhs != rhs:
                     return AssocWitness(u, v, w, lhs, rhs)
@@ -98,12 +105,7 @@ def check_associativity(table: MulTable) -> Optional[AssocWitness]:
 def zero_divisors(table: MulTable) -> set[int]:
     """Nonzero elements u with uv = 0 for some nonzero v (v = u allowed)."""
     ent = table.entries
-    m = table.m
-    return {
-        u
-        for u in range(1, m + 1)
-        if any(ent[u][v] == 0 for v in range(1, m + 1))
-    }
+    return {u for u in range(1, table.m + 1) if 0 in ent[u][1:]}
 
 
 def is_zd_semigroup(table: MulTable) -> bool:

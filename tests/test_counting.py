@@ -85,6 +85,41 @@ def test_clique_class_count_values():
     assert clique_class_count(1) == 2
 
 
+def test_clique_class_count_matches_listed_partitions_up_to_40():
+    listed = {
+        (total, parts): sum(1 for _ in iter_partitions_exact(total, parts))
+        for total in range(1, 41)
+        for parts in range(1, total + 1)
+    }
+    for n in range(1, 41):
+        expected = 1 + sum(
+            listed[n - t, k] for k in range(1, n + 1) for t in range(0, n - k + 1)
+        )
+        assert clique_class_count(n) == expected
+
+
+def partition_numbers(limit):
+    """p(0..limit) by Euler's pentagonal number recurrence, independent of parts."""
+    p = [1] + [0] * limit
+    for j in range(1, limit + 1):
+        k = 1
+        while (pentagonal := k * (3 * k - 1) // 2) <= j:
+            sign = 1 if k % 2 else -1
+            p[j] += sign * p[j - pentagonal]
+            if pentagonal + k <= j:
+                p[j] += sign * p[j - pentagonal - k]
+            k += 1
+    return p
+
+
+def test_clique_class_count_at_large_n_needs_no_deep_recursion():
+    # The double sum adds p(j) over 1 <= j <= n.  A recursive recurrence
+    # overflows the interpreter's stack near n = 500.
+    count_partitions_exact.cache_clear()
+    assert clique_class_count(600) == sum(partition_numbers(600)[1:]) + 1
+    assert count_partitions_exact(600, 300) == partition_numbers(300)[300]
+
+
 def test_clique_generator_matches_formula_up_to_8():
     for n in range(1, 9):
         assert generate_clique_classes(n).class_count == clique_class_count(n)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from zdsemigroups import counting
 from zdsemigroups.cli import main
 from zdsemigroups.counting import pendant_case_breakdown
 from zdsemigroups.errors import UsageError
@@ -109,6 +110,27 @@ def test_cli_oracle_budget_refusal_ignores_cache(tmp_path, capsys, command, warm
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and "desk-scale" in line
     assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_count_kn_formula_at_large_n_exits_0(capsys):
+    code = main(["count", "--graph", "kn", "--n", "600", "--method", "formula"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "formula   9119349471978984435494856" in out
+
+
+def test_cli_count_kn1_runs_the_self_generator_once(capsys, monkeypatch):
+    calls = []
+    original = counting.generate_pendant_square_self
+
+    def recording(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(counting, "generate_pendant_square_self", recording)
+    assert main(["count", "--graph", "kn1", "--n", "5"]) == 0
+    capsys.readouterr()
+    assert calls == [5]
 
 
 def test_cli_count_all_skips_oracle_over_budget(capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from zdsemigroups import search
 from zdsemigroups.errors import BudgetError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
 from zdsemigroups.search import (
@@ -12,7 +13,7 @@ from zdsemigroups.search import (
     oracle_classes,
     seed_partial_table,
 )
-from zdsemigroups.tables import is_zd_semigroup, zero_divisors
+from zdsemigroups.tables import MulTable, is_zd_semigroup, zero_divisors
 
 
 def brute_force_k2_count():
@@ -82,6 +83,72 @@ def test_accepted_tables_are_valid():
 def test_pruning_soundness():
     for target in (CompleteK(2), CompleteK(3), CompletePlusEnd(3)):
         assert enumerate_labeled(target, prune=True) == enumerate_labeled(target, prune=False)
+
+
+def rescanning_search(target):
+    """Reference DFS that rescans every multiset after every assignment.
+
+    Returns the accepted tables' entries in visit order and the number of
+    leaves reached.
+    """
+    spec = seed_partial_table(target)
+    m = target.element_count
+    grid = [list(row) for row in spec.template]
+    multisets = list(itertools.combinations_with_replacement(range(1, m + 1), 3))
+    accepted = []
+    leaves = 0
+
+    def product(x, y, z):
+        """(xy)z, or None while a cell it reads is unset."""
+        xy = grid[x][y]
+        return None if xy < 0 or grid[xy][z] < 0 else grid[xy][z]
+
+    def violated():
+        for u, v, w in multisets:
+            known = {product(u, v, w), product(v, w, u), product(u, w, v)} - {None}
+            if len(known) > 1:
+                return True
+        return False
+
+    def descend(depth):
+        nonlocal leaves
+        if depth == len(spec.slots):
+            leaves += 1
+            table = MulTable.from_rows(grid)
+            if is_zd_semigroup(table):
+                rec = recognize_target(build_zd_graph(table))
+                if rec is not None and rec.target == target:
+                    accepted.append(table.entries)
+            return
+        u, v = spec.slots[depth]
+        for val in spec.domains[depth]:
+            grid[u][v] = grid[v][u] = val
+            if not violated():
+                descend(depth + 1)
+        grid[u][v] = grid[v][u] = -1
+
+    descend(0)
+    return accepted, leaves
+
+
+@pytest.mark.parametrize(
+    "target",
+    [CompleteK(n) for n in range(1, 6)] + [CompletePlusEnd(3), CompletePlusEnd(4)],
+    ids=str,
+)
+def test_cell_reader_index_prunes_like_a_full_rescan(monkeypatch, target):
+    leaves = 0
+    counted = search.is_zd_semigroup
+
+    def counting(table):
+        nonlocal leaves
+        leaves += 1
+        return counted(table)
+
+    monkeypatch.setattr(search, "is_zd_semigroup", counting)
+    accepted = []
+    enumerate_labeled(target, lambda t: accepted.append(t.entries))
+    assert (accepted, leaves) == rescanning_search(target)
 
 
 def test_visitor_order_deterministic():
