@@ -14,7 +14,6 @@ from .counting import (
     fixed_points_formula,
     generate_clique_classes,
     pendant_case_breakdown,
-    pendant_class_total,
 )
 from .errors import BudgetError, UsageError
 from .graphs import (

@@ -35,14 +35,19 @@ such order:
 
 Each move keeps a subset of the orders, so the search visits at most m!
 leaves, as brute force would, and returns the same key.
-``ClassCatalog`` keys every table with ``canonical_form``.
+``ClassCatalog`` keys a table with ``canonical_form`` unless its caller
+passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
+in which each class is one orbit of a known group of relabelings: it
+runs ``canonical_form`` once per orbit and keys the rest by lookup.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Optional
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .errors import UsageError
 from .graphs import CompleteK, build_zd_graph, recognize_target
@@ -281,6 +286,71 @@ class ClassCatalog:
                 raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
             catalog._classes[key] = ClassEntry(key, table_from_json(item["table"]), multiplicity)
         return catalog
+
+
+class OrbitKeyer:
+    """Key and insert tables whose classes are orbits of relabelings of ``movable``.
+
+    The relabelings permute ``movable`` among themselves and fix the
+    other elements of 1..m.  A caller may use the keyer when the tables
+    it emits of one class are exactly one orbit of these relabelings,
+    each table emitted once.  Calling the keyer on a table keys it,
+    inserts it into ``catalog`` and returns the key.  The first table of
+    an orbit is keyed by ``canonical_form``, and the codes (flattened
+    upper triangles as ``bytes``) of its relabelings wait in a pending dict
+    with that key; the orbit's other tables pop their key from there.
+
+    Each relabeling is a gather and a rename, identity first.  For the
+    row-major flattening ``flat`` of a table,
+    ``bytes(gather(flat)).translate(rename)`` is the upper triangle of
+    the relabeled table: gather reads the old product that lands on each
+    cell, and rename gives that product its new id.  All |movable|!
+    pairs are built up front.
+
+    A code left pending at the end names a relabeling that was never
+    emitted, or a table emitted twice, so ``check_closed`` raises
+    instead of letting a miscount through.
+    """
+
+    def __init__(self, m: int, movable: Sequence[int], catalog: ClassCatalog):
+        movable = tuple(movable)
+        cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+        self.catalog = catalog
+        self._relabelings = []
+        for image in itertools.permutations(movable):
+            new = list(range(m + 1))  # new[u] is the new id of u
+            for u, w in zip(movable, image):
+                new[u] = w
+            old = [0] * (m + 1)
+            for u, w in enumerate(new):
+                old[w] = u
+            index = [old[u] * (m + 1) + old[v] for u, v in cells]
+            if len(index) > 1:
+                gather = itemgetter(*index)
+            else:  # m = 1: a one-argument itemgetter returns a bare value
+                gather = lambda flat, i=index[0]: (flat[i],)
+            self._relabelings.append((gather, bytes(new).ljust(256, b"\0")))
+        self._pending: dict[bytes, CanonicalKey] = {}
+
+    def __call__(self, table: MulTable) -> CanonicalKey:
+        flat = tuple(itertools.chain.from_iterable(table.entries))
+        pending = self._pending
+        code = bytes(self._relabelings[0][0](flat))
+        key = pending.pop(code, None)
+        if key is None:
+            key = canonical_form(table)
+            for gather, rename in self._relabelings:
+                pending[bytes(gather(flat)).translate(rename)] = key
+            del pending[code]
+        self.catalog.insert(table, key=key)
+        return key
+
+    def check_closed(self, tables: str) -> None:
+        """Raise unless every relabeling of every keyed table was keyed."""
+        if self._pending:
+            raise RuntimeError(
+                f"{tables} are not closed under relabeling: {len(self._pending)} never emitted"
+            )
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # cache writes are atomic, so nothing is left half written
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -38,13 +38,12 @@ the deviation is surfaced as a discrepancy finding.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Optional
 
-from .classify import ClassCatalog, canonical_form
+from .classify import ClassCatalog, OrbitKeyer
 from .errors import UsageError
 from .graphs import CompletePlusEnd, build_zd_graph, recognize_target
 from .tables import MulTable, check_associativity
@@ -530,27 +529,6 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
             yield MulTable.from_rows(grid), len(fixed)
 
 
-def _middle_relabelings(n: int) -> list[tuple[Callable, bytes]]:
-    """The (n-1)! relabelings of 2..n that fix 0, 1 and m, identity first.
-
-    Each is a gather and a rename.  For the row-major flattening ``flat``
-    of a table, ``bytes(gather(flat)).translate(rename)`` is the upper
-    triangle of the relabeled table: gather reads the old product that
-    lands on each cell, and rename gives that product its new id.
-    """
-    m = n + 1
-    cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
-    relabelings = []
-    for middle in itertools.permutations(range(2, n + 1)):
-        new = (0, 1, *middle, m)  # new[u] is the new id of u
-        old = [0] * (m + 1)
-        for u, w in enumerate(new):
-            old[w] = u
-        gather = operator.itemgetter(*(old[u] * (m + 1) + old[v] for u, v in cells))
-        relabelings.append((gather, bytes(new).ljust(256, b"\0")))
-    return relabelings
-
-
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
 
@@ -558,37 +536,21 @@ def generate_pendant_square_self(n: int) -> PendantSelfResult:
     isomorphism between two such tables must keep both, so it relabels
     only 2..n.  The conditions do not depend on the labels of 2..n, so
     the tables of one class are exactly one orbit of those (n-1)!
-    relabelings.  The first table of an orbit is keyed by
-    ``canonical_form``, and the codes (flattened upper triangles) of its
-    other relabelings wait in ``pending`` with that key; the orbit's
-    other tables take it from there.  Every table is still validated and
+    relabelings, and an ``OrbitKeyer`` over 2..n keys them with one
+    ``canonical_form`` per class.  Every table is still validated and
     inserted once, and the fixed-point count r is checked to be constant
-    on each class.  A code left in ``pending`` at the end names a
-    relabeling that was never emitted, so the case is not closed under
-    relabeling and the generator raises instead of miscounting.
+    on each class.  If the case were not closed under relabeling, the
+    keyer's closure check would raise instead of miscounting.
     """
     _require_pendant_size(n)
-    relabelings = _middle_relabelings(n)
-    own_gather, _ = relabelings[0]  # the identity
     catalog = ClassCatalog()
+    keyer = OrbitKeyer(n + 1, range(2, n + 1), catalog)
     key_fixed: dict[tuple, int] = {}
-    pending: dict[bytes, tuple] = {}
     for table, r in _iter_self_case_tables(n):
-        flat = tuple(itertools.chain.from_iterable(_validated(table, n).entries))
-        code = bytes(own_gather(flat))
-        key = pending.pop(code, None)
-        if key is None:
-            key = canonical_form(table)
-            for gather, rename in relabelings:
-                pending[bytes(gather(flat)).translate(rename)] = key
-            del pending[code]
-        catalog.insert(table, key=key)
+        key = keyer(_validated(table, n))
         if key_fixed.setdefault(key, r) != r:
             raise RuntimeError("fixed-point count is not constant on a class")
-    if pending:
-        raise RuntimeError(
-            f"x*x = x tables are not closed under relabeling: {len(pending)} never emitted"
-        )
+    keyer.check_closed("x*x = x tables")
     return PendantSelfResult(catalog, dict(sorted(Counter(key_fixed.values()).items())))
 
 
@@ -643,7 +605,9 @@ def fixed_points_formula(n: int, r: int) -> int:
     """Stated stratum counts for the x*x = x case, generator fallback elsewhere.
 
     The stated values are the ``STRATUM_RULES``; strata that no rule
-    covers fall back to the enumerated count.
+    covers fall back to the enumerated count.  Kept on purpose as the
+    public per-stratum entry point (the package exports it): the report
+    pipelines sum all strata through ``pendant_self_formula`` instead.
     """
     _require_pendant_size(n)
     if not 1 <= r <= n - 1:
@@ -652,16 +616,6 @@ def fixed_points_formula(n: int, r: int) -> int:
     if stated is not None:
         return stated
     return generate_pendant_square_self(n).by_fixed_points.get(r, 0)
-
-
-def pendant_class_total(n: int) -> int:
-    """Total pendant classes, summed over the four case catalogs.
-
-    With the attach case corrected to n classes this is the x*x = x
-    count plus 5n - 4.  The historical rule (``historical_pendant_total``)
-    undercounts by n - 1 and is reported as a discrepancy, not used.
-    """
-    return pendant_case_breakdown(n).total
 
 
 def pendant_self_formula(n: int, *, by_fixed_points: Optional[dict[int, int]] = None) -> int:

@@ -25,6 +25,20 @@ cell and ``readers`` leaves them out.  This prunes exactly the nodes a
 rescan of every multiset would: the forced template violates nothing,
 every node was checked before the search descended from it, and a
 multiset's three products change only through a cell they read.
+
+Classification uses the target's own automorphisms.  Two accepted tables
+realize the same labelled graph G, so an isomorphism between them is an
+automorphism of G, and every automorphism of G carries the seed, and so
+the set of accepted tables, onto itself.  The accepted tables of one
+class are therefore exactly one orbit of Aut(G): S_n on 1..n for K_n,
+and S_{n-1} on 2..n for K_n plus a pendant, whose seed pins the neighbor
+to 1 and the pendant to m.  ``oracle_classes`` hands the search's tables
+to an ``OrbitKeyer`` over those elements, which runs ``canonical_form``
+once per class and checks at the end that the tables it saw are closed
+under Aut(G).  This is a fact about the target that the seed encodes;
+nothing comes from the generators.  (K_2 plus a pendant is a path whose
+automorphism also swaps 2 and m; there the keyer uses the trivial
+subgroup, which keys every table by ``canonical_form``.)
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterator, Optional
 
-from .classify import ClassCatalog
+from .classify import ClassCatalog, OrbitKeyer
 from .errors import BudgetError
 from .graphs import CompleteK, TargetGraph, build_zd_graph, recognize_target
 from .tables import MulTable, is_zd_semigroup
@@ -94,6 +108,16 @@ def seed_partial_table(target: TargetGraph) -> SearchSpec:
             *(full_domain for _ in range(1, n + 1)),
         )
     return SearchSpec(target, slots, domains, tuple(tuple(row) for row in grid))
+
+
+def _automorphism_movable(target: TargetGraph) -> tuple[int, ...]:
+    """The elements that Aut(target) permutes; it fixes the rest of 1..m.
+
+    All of 1..n for the complete graph.  With a pendant, the seed above
+    pins the neighbor to 1 and the pendant to m, so only 2..n move.
+    """
+    first = 1 if isinstance(target, CompleteK) else 2
+    return tuple(range(first, target.n + 1))
 
 
 def assignment_count(spec: SearchSpec) -> int:
@@ -199,8 +223,15 @@ def oracle_classes(target: TargetGraph, *, allow_long_run: bool = False) -> Clas
     """Enumerate labelled tables and classify them up to isomorphism.
 
     One serial search inserts every accepted table into one catalog, in
-    slot order; ``enumerate_labeled`` applies the budget check.
+    slot order; ``enumerate_labeled`` applies the budget check.  The
+    accepted tables of a class are one orbit of Aut(target) (see the
+    module docstring), so an ``OrbitKeyer`` keys the first table of each
+    orbit with ``canonical_form`` and the rest by lookup.  It raises
+    ``RuntimeError`` if the accepted tables are not closed under
+    Aut(target), which would mean a table was dropped or repeated.
     """
     catalog = ClassCatalog()
-    enumerate_labeled(target, catalog.insert, allow_long_run=allow_long_run)
+    keyer = OrbitKeyer(target.element_count, _automorphism_movable(target), catalog)
+    enumerate_labeled(target, keyer, allow_long_run=allow_long_run)
+    keyer.check_closed(f"oracle tables of {target}")
     return catalog

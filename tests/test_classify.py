@@ -264,7 +264,7 @@ def test_catalog_shortcut_matches_full_canonical():
             shortcut.insert(t)
         assert [(e.key, e.multiplicity) for e in shortcut.entries()] == brute_catalog(tables)
     # the oracle's catalog, straight from the search
-    for target in (CompletePlusEnd(3), CompletePlusEnd(4), CompleteK(4)):
+    for target in (CompletePlusEnd(3), CompletePlusEnd(4), CompleteK(3), CompleteK(4), CompleteK(5)):
         tables = []
         enumerate_labeled(target, tables.append)
         oracle = oracle_classes(target)

@@ -23,7 +23,6 @@ from zdsemigroups.counting import (
     generate_pendant_square_zero,
     iter_partitions_exact,
     pendant_case_breakdown,
-    pendant_class_total,
     pendant_conditions_hold,
     pendant_square_case,
     pendant_self_formula,
@@ -348,7 +347,6 @@ def test_breakdown_total_and_merged():
     breakdown = pendant_case_breakdown(3)
     assert breakdown.total == sum(breakdown.case_counts.values())
     assert breakdown.merged_catalog().class_count == breakdown.total
-    assert pendant_class_total(3) == breakdown.total
 
 
 def test_fixed_points_formula_values():

@@ -224,12 +224,34 @@ def test_cli_verify_range(capsys):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_zdsg(*argv):
-    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_python(*argv):
+    """Run Python in a fresh interpreter, so a traceback would reach stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "zdsemigroups.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_zdsg(*argv):
+    return run_python("-m", "zdsemigroups.cli", *argv)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_verify", ["verify", "3"]),
+    ("cmd_count", ["count", "--graph", "kn", "--n", "3"]),
+])
+def test_cli_interrupt_exits_130_without_traceback(command, argv):
+    result = run_python("-c", (
+        "import sys\n"
+        "from zdsemigroups import cli\n"
+        "def interrupted(args):\n"
+        "    raise KeyboardInterrupt\n"
+        f"cli.{command} = interrupted\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    ))
+    assert result.returncode == 130
+    assert result.stdout == ""
+    assert result.stderr == "interrupted\n"
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("text", ["a..b", "3..", "..4", "3..x", "x", ""])

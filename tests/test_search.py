@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 from zdsemigroups import search
+from zdsemigroups.classify import canonical_form
 from zdsemigroups.errors import BudgetError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
 from zdsemigroups.search import (
@@ -13,7 +15,7 @@ from zdsemigroups.search import (
     oracle_classes,
     seed_partial_table,
 )
-from zdsemigroups.tables import MulTable, is_zd_semigroup, zero_divisors
+from zdsemigroups.tables import MulTable, is_zd_semigroup, permute_table, zero_divisors
 
 
 def brute_force_k2_count():
@@ -195,3 +197,49 @@ def test_oracle_classes_k3():
     catalog = oracle_classes(CompleteK(3))
     assert catalog.class_count == 7
     assert catalog.labeled_count == enumerate_labeled(CompleteK(3))
+
+
+@pytest.mark.parametrize("target, labelled", [
+    (CompleteK(3), 23), (CompleteK(4), 104), (CompleteK(5), 537),
+    (CompletePlusEnd(3), 36), (CompletePlusEnd(4), 167),
+])
+def test_oracle_classes_obey_orbit_stabilizer(target, labelled):
+    # multiplicity * |Aut(T)| = |Aut(G)| per class, with |Aut(T)| counted by
+    # brute force over all m! relabelings, so no canonical form is trusted
+    m = target.element_count
+    if isinstance(target, CompleteK):
+        aut_g = math.factorial(target.n)
+    else:
+        aut_g = math.factorial(target.n - 1)
+    total = 0
+    for entry in oracle_classes(target).entries():
+        rep = entry.representative
+        aut_t = sum(
+            permute_table(rep, (0, *perm)) == rep
+            for perm in itertools.permutations(range(1, m + 1))
+        )
+        assert entry.multiplicity * aut_t == aut_g
+        total += aut_g // aut_t
+    assert total == labelled == enumerate_labeled(target)
+
+
+@pytest.mark.parametrize("target", [CompleteK(4), CompletePlusEnd(3), CompletePlusEnd(4)])
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+def test_oracle_refuses_an_orbit_with_a_missing_or_repeated_table(monkeypatch, target, fault):
+    tables = []
+    enumerate_labeled(target, tables.append)
+    by_key = {}
+    for table in tables:
+        by_key.setdefault(canonical_form(table), []).append(table)
+    odd = next(orbit[1] for orbit in by_key.values() if len(orbit) > 1)
+    real = search.enumerate_labeled
+
+    def faulty(target, visitor, **kwargs):
+        def visit(table):
+            for _ in range({"drop": 0, "repeat": 2}[fault] if table == odd else 1):
+                visitor(table)
+        return real(target, visit, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_labeled", faulty)
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        oracle_classes(target)
