@@ -17,7 +17,7 @@ so x kills only element 1), the structure splits into four cases by the
 value of x*x, which is an isomorphism invariant:
 
     "zero"    x*x = 0      exactly n classes
-    "self"    x*x = x      no closed formula; enumerated from conditions
+    "self"    x*x = x      a block count per fixed-point stratum (below)
     "attach"  x*x = 1      exactly n classes (see below)
     "other"   x*x = j>=2   exactly 3n - 4 classes
 
@@ -29,10 +29,34 @@ even though it was originally tabulated as a single class; the old
 value is kept in ``TABULATED_COUNTS`` and reported as a discrepancy.
 
 The "self" case is stratified by r, the number of clique elements i >= 2
-with i*x = i (the elements fixed by the pendant).  Previously tabulated
-values for small cases are kept in ``TABULATED_COUNTS`` purely as
-cross-checks: where a computed count disagrees, the computation wins and
-the deviation is surfaced as a discrepancy finding.
+with i*x = i (the elements fixed by the pendant).  Its conditions (1)-(4)
+(see ``check_pendant_square_self``) fix a class by three things, in the
+same way the square profile fixes a clique class:
+
+- t idempotent fixed points;
+- a multiset of blocks (a, b0, b1), one per fixed element z that squares
+  to 0: a fixed elements square to z, and the pendant sends b0 + b1
+  non-fixed elements to z, of which b0 square to 0 and b1 square to the
+  neighbor;
+- the neighbor's square, 0 or the neighbor; the neighbor only when
+  every b1 is 0.
+
+An isomorphism keeps the pendant and the neighbor and only relabels
+2..n, which leaves all three unchanged, and any two tables with the same
+three are relabelings of each other.  So stratum r counts the choices
+with t + sum(1 + a) = r and sum(b0 + b1) = n - 1 - r, where a choice with
+every b1 = 0 counts twice, once per square of the neighbor.  That is the
+coefficient of x^r y^(n-1-r) in
+
+    1/(1-x) prod_(a,b0,b1) 1/(1 - x^(1+a) y^(b0+b1))
+      + 1/(1-x) prod_(a,b0) 1/(1 - x^(1+a) y^b0)
+
+which ``self_stratum_counts`` computes.  The formula method prefers the
+stated ``STRATUM_RULES`` where they cover a stratum, so a wrong stated
+value shows as a deviation from the enumerated count.  Previously
+tabulated values for small cases are kept in ``TABULATED_COUNTS`` purely
+as cross-checks: where a computed count disagrees, the computation wins
+and the deviation is surfaced as a discrepancy finding.
 """
 
 from __future__ import annotations
@@ -41,7 +65,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import UsageError
@@ -596,52 +620,74 @@ def pendant_case_breakdown(n: int) -> PendantBreakdown:
     return PendantBreakdown(n, catalogs, self_result.by_fixed_points)
 
 
-def _stated_stratum_value(n: int, r: int) -> Optional[int]:
-    """Value of the first stated rule covering stratum r, if any."""
-    return next((rule.value(n) for rule in STRATUM_RULES if rule.stratum(n) == r), None)
+def self_stratum_counts(n: int) -> dict[int, int]:
+    """Class count of each x*x = x stratum r = 1..n-1, from the block structure.
+
+    Sums the coefficients of x^r y^(n-1-r) in the two series of the
+    module docstring.  ``coef[i][j]`` counts the choices of x-degree i
+    and y-degree j.  It starts from the idempotent fixed points alone, one
+    choice per i, and takes in each block shape x^u y^b, u = 1 + a, once
+    per split b = b0 + b1 (only b1 = 0 in the second series).  Taking in
+    one shape is an unbounded knapsack pass, in place and in increasing
+    order, as in ``_partition_columns``.
+    """
+    _require_pendant_size(n)
+    size = n - 1
+    counts = dict.fromkeys(range(1, n), 0)
+    for b1_free in (False, True):
+        coef = [[1] + [0] * size for _ in range(size + 1)]
+        for u in range(1, size + 1):
+            for b in range(size - u + 1):
+                for _ in range(1 if b1_free else b + 1):
+                    for i in range(u, size + 1):
+                        for j in range(b, size - i + 1):
+                            coef[i][j] += coef[i - u][j - b]
+        for r in counts:
+            counts[r] += coef[r][size - r]
+    return counts
+
+
+def _formula_strata(n: int) -> dict[int, int]:
+    """Each stratum's formula value: the first stated rule covering it, else the block count.
+
+    The rules are laid over the block count in reverse, so that where two
+    cover one stratum the first wins.
+    """
+    return self_stratum_counts(n) | {rule.stratum(n): rule.value(n)
+                                     for rule in reversed(STRATUM_RULES)}
 
 
 def fixed_points_formula(n: int, r: int) -> int:
-    """Stated stratum counts for the x*x = x case, generator fallback elsewhere.
+    """Formula value of one x*x = x stratum: a stated rule, else the block count.
 
     The stated values are the ``STRATUM_RULES``; strata that no rule
-    covers fall back to the enumerated count.  Kept on purpose as the
-    public per-stratum entry point (the package exports it): the report
-    pipelines sum all strata through ``pendant_self_formula`` instead.
+    covers take ``self_stratum_counts``.  No generator runs.  Kept on
+    purpose as the public per-stratum entry point (the package exports
+    it): the report pipelines sum all strata through
+    ``pendant_self_formula`` instead.
     """
     _require_pendant_size(n)
     if not 1 <= r <= n - 1:
         raise UsageError(f"fixed-point count must lie in 1..{n - 1}")
-    stated = _stated_stratum_value(n, r)
-    if stated is not None:
-        return stated
-    return generate_pendant_square_self(n).by_fixed_points.get(r, 0)
+    return _formula_strata(n)[r]
 
 
-def pendant_self_formula(n: int, *, by_fixed_points: Optional[dict[int, int]] = None) -> int:
-    """x*x = x class count assembled from the stated stratum values.
+def pendant_self_formula(n: int) -> int:
+    """x*x = x class count: the sum of ``fixed_points_formula`` over every stratum.
 
-    Strata without a stated rule share one run of the generator, or
-    read ``by_fixed_points`` when a caller has that run already.
+    The block count is computed once for all strata, and no generator runs.
     """
     _require_pendant_size(n)
-    values = [_stated_stratum_value(n, r) for r in range(1, n)]
-    if None in values:
-        enumerated = (
-            generate_pendant_square_self(n).by_fixed_points
-            if by_fixed_points is None else by_fixed_points
-        )
-        values = [enumerated.get(r, 0) if v is None else v for r, v in enumerate(values, 1)]
-    return sum(values)
+    return sum(_formula_strata(n).values())
 
 
-def pendant_total_formula(n: int, *, by_fixed_points: Optional[dict[int, int]] = None) -> int:
+def pendant_total_formula(n: int) -> int:
     """Formula-method total: stated strata plus the closed per-case counts.
 
-    Where a stated stratum value is wrong (r = 2 at n = 3) this deviates
-    from the enumerated total; the reports surface that.
-    ``by_fixed_points`` is passed on to ``pendant_self_formula``.
+    Where a stated stratum value is wrong (r = 2 at n = 3, and the r = 2
+    piecewise rule from n = 6) this deviates from the enumerated total;
+    the reports surface that.
     """
-    return pendant_self_formula(n, by_fixed_points=by_fixed_points) + sum(
+    return pendant_self_formula(n) + sum(
         pendant_case_formula(case, n) for case in ("zero", "attach", "other")
     )

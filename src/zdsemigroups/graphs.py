@@ -28,9 +28,6 @@ class SimpleGraph:
             if not (1 <= u < v <= self.vertex_count):
                 raise UsageError(f"edge ({u}, {v}) outside 1..{self.vertex_count} or not ordered")
 
-    def degree(self, u: int) -> int:
-        return sum(1 for e in self.edges if u in e)
-
 
 @dataclass(frozen=True)
 class CompleteK:

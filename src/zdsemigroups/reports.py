@@ -342,23 +342,18 @@ def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_ru
     """
     counts: dict[str, Optional[int]] = {}
     catalogs: dict[str, ClassCatalog] = {}
-    # A pendant target's one breakdown serves the formula's unstated
-    # strata, the generator count and the claims.  An oracle-only run
-    # builds it last, so that a refused oracle fails fast.
+    # The generator's pendant breakdown also serves the claims.  Without
+    # the generator it is built last, so that a refused oracle fails fast.
     breakdown = None
-    if kind == "kn1" and ("formula" in methods or "generator" in methods):
-        breakdown = pendant_case_breakdown(n)
     for name in methods:
         if name == "formula":
-            counts["formula"] = (
-                clique_class_count(n) if kind == "kn"
-                else pendant_total_formula(n, by_fixed_points=breakdown.by_fixed_points)
-            )
+            counts["formula"] = clique_class_count(n) if kind == "kn" else pendant_total_formula(n)
         elif name == "generator":
             if kind == "kn":
                 catalogs["generator"] = generate_clique_classes(n)
                 counts["generator"] = catalogs["generator"].class_count
             else:
+                breakdown = pendant_case_breakdown(n)
                 counts["generator"] = breakdown.total
         elif refuse or allow_long_run or oracle_fits_budget(kind, n):
             catalogs["oracle"] = oracle_catalog(

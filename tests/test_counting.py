@@ -1,9 +1,10 @@
 import itertools
+import os
 from collections import Counter
 
 import pytest
 
-from pendant_reference import class_key
+from pendant_reference import class_key, pendant_reference
 from zdsemigroups import counting
 from zdsemigroups.classify import ClassCatalog, canonical_form
 from zdsemigroups.counting import (
@@ -27,6 +28,7 @@ from zdsemigroups.counting import (
     pendant_square_case,
     pendant_self_formula,
     pendant_total_formula,
+    self_stratum_counts,
 )
 from zdsemigroups.errors import UsageError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
@@ -361,23 +363,47 @@ def test_fixed_points_formula_values():
         fixed_points_formula(4, 0)
 
 
-def test_pendant_self_formula_runs_generator_once(monkeypatch):
-    # At n=6 the strata r=3 and r=4 have no stated rule; both must come
-    # from a single generator run.
-    from types import SimpleNamespace
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_self_stratum_counts_match_generator(n):
+    assert self_stratum_counts(n) == generate_pendant_square_self(n).by_fixed_points
 
-    from zdsemigroups import counting
 
-    calls = []
+@pytest.mark.parametrize("n", [3, 4])
+def test_self_stratum_counts_match_package_free_reference(n):
+    assert self_stratum_counts(n) == pendant_reference(n)["strata"]
 
-    def stub(n):
-        calls.append(n)
-        return SimpleNamespace(by_fixed_points={3: 100, 4: 1000})
 
-    monkeypatch.setattr(counting, "generate_pendant_square_self", stub)
-    # r=1: 6, r=2: 4*5, r=3, r=4 from the stub, r=5: 2 * clique count at 5
-    assert counting.pendant_self_formula(6) == 6 + 20 + 100 + 1000 + 2 * 19
-    assert calls == [6]
+@pytest.mark.parametrize("n, total", [(4, 43), (5, 87)])
+def test_pendant_total_formula_matches_oracle(n, total):
+    from zdsemigroups.search import oracle_classes
+
+    oracle = oracle_classes(CompletePlusEnd(n), allow_long_run=True)
+    assert pendant_total_formula(n) == oracle.class_count == total
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the n=7 generator runs only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+def test_self_stratum_counts_long_run_n7():
+    assert self_stratum_counts(7) == generate_pendant_square_self(7).by_fixed_points == {
+        1: 7, 2: 34, 3: 68, 4: 91, 5: 78, 6: 60,
+    }
+
+
+def test_formula_functions_enter_no_generator(monkeypatch):
+    def refuse(n):
+        raise AssertionError("a formula function entered a generator")
+
+    monkeypatch.setattr(counting, "generate_pendant_square_self", refuse)
+    monkeypatch.setattr(counting, "pendant_case_breakdown", refuse)
+    totals = {n: pendant_total_formula(n) for n in range(3, 9)}
+    assert totals == {3: 17, 4: 43, 5: 87, 6: 173, 7: 359, 8: 753}
+    for n in range(3, 9):
+        strata = [fixed_points_formula(n, r) for r in range(1, n)]
+        assert sum(strata) == pendant_self_formula(n)
+    with pytest.raises(UsageError):
+        pendant_self_formula(2)
 
 
 def test_formula_methods_consistent_at_n4():
