@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import UsageError
-from .graphs import CompleteK, build_zd_graph, recognize_target
+from .graphs import CompleteK, realizes
 from .tables import MulTable, table_from_json, table_to_json
 
 CanonicalKey = tuple  # flat upper triangle of the minimal relabeling
@@ -281,6 +281,8 @@ class ClassCatalog:
         catalog = cls()
         for item in obj:
             key = key_from_hex(item["key"])
+            if key in catalog._classes:
+                raise ValueError(f"class {item['key']} is listed twice")
             multiplicity = item["multiplicity"]
             if type(multiplicity) is not int or multiplicity < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
@@ -386,8 +388,7 @@ class SquareProfile:
 
 def square_profile(table: MulTable) -> SquareProfile:
     """Profile of a complete-graph table; raises for other shapes."""
-    rec = recognize_target(build_zd_graph(table))
-    if rec is None or not isinstance(rec.target, CompleteK) or rec.target.n != table.m:
+    if realizes(table, CompleteK(table.m)) is None:
         raise UsageError("square profiles are defined for complete-graph tables only")
     ent = table.entries
     m = table.m

@@ -69,7 +69,7 @@ from typing import Callable, Iterator
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import UsageError
-from .graphs import CompletePlusEnd, build_zd_graph, recognize_target
+from .graphs import CompleteK, CompletePlusEnd, Recognition, TargetGraph, realizes
 from .tables import MulTable, check_associativity
 
 # Class counts reported in earlier tabulations of these families, kept
@@ -236,10 +236,7 @@ def generate_clique_classes(n: int) -> ClassCatalog:
         raise UsageError("clique size must be >= 1")
     catalog = ClassCatalog()
     for table in _iter_clique_profile_tables(n):
-        witness = check_associativity(table)
-        if witness is not None:
-            raise RuntimeError(f"generated clique table failed associativity: {witness}")
-        catalog.insert(table)
+        catalog.insert(_validated(table, CompleteK(n)))
     return catalog
 
 
@@ -247,12 +244,13 @@ def generate_clique_classes(n: int) -> ClassCatalog:
 # pendant layout helpers
 
 
-def _pendant_layout(table: MulTable) -> tuple[int, int, int]:
-    """(clique size, pendant id, neighbor id); raises if the graph is wrong."""
-    rec = recognize_target(build_zd_graph(table))
-    if rec is None or not isinstance(rec.target, CompletePlusEnd):
+def _pendant_layout(table: MulTable) -> Recognition:
+    """(target, pendant id, neighbor id); raises unless the graph is a
+    clique of size >= 2 plus one pendant."""
+    rec = realizes(table, CompletePlusEnd(table.m - 1)) if table.m >= 3 else None
+    if rec is None:
         raise UsageError("table does not realize a complete graph with one pendant")
-    return rec.target.n, rec.pendant, rec.neighbor
+    return rec
 
 
 def _square_case(ent, pendant: int, neighbor: int) -> str:
@@ -425,13 +423,17 @@ def _pendant_grid(n: int) -> list[list[int]]:
     return [[0] * (m + 1) for _ in range(m + 1)]
 
 
-def _validated(table: MulTable, n: int) -> MulTable:
+def _validated(table: MulTable, target: TargetGraph) -> MulTable:
+    """Return a generated table after checking it from scratch.
+
+    Every generator passes its tables through here: ``RuntimeError``
+    unless the table is associative and ``realizes`` its target graph.
+    """
     witness = check_associativity(table)
     if witness is not None:
-        raise RuntimeError(f"generated pendant table failed associativity: {witness}")
-    rec = recognize_target(build_zd_graph(table))
-    if rec is None or rec.target != CompletePlusEnd(n):
-        raise RuntimeError("generated pendant table does not realize its graph")
+        raise RuntimeError(f"generated table of {target} failed associativity: {witness}")
+    if realizes(table, target) is None:
+        raise RuntimeError(f"generated table does not realize {target}")
     return table
 
 
@@ -451,7 +453,7 @@ def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
         for i in range(2, n + 1):
             grid[i][m] = grid[m][i] = 1
             grid[i][i] = 1 if i - 1 <= pointer_count else 0
-        catalog.insert(_validated(MulTable.from_rows(grid), n))
+        catalog.insert(_validated(MulTable.from_rows(grid), CompletePlusEnd(n)))
     return catalog
 
 
@@ -489,7 +491,7 @@ def generate_pendant_square_other(n: int) -> ClassCatalog:
                 grid[forced_zero][forced_zero] = 0
             for i, sq in zip(free, squares):
                 grid[i][i] = sq
-            catalog.insert(_validated(MulTable.from_rows(grid), n))
+            catalog.insert(_validated(MulTable.from_rows(grid), CompletePlusEnd(n)))
 
     emit(1, 0, None, rest)  # pendant sends 2 to the neighbor
     emit(2, 2, None, rest)  # pendant fixes 2, which is idempotent
@@ -570,8 +572,9 @@ def generate_pendant_square_self(n: int) -> PendantSelfResult:
     catalog = ClassCatalog()
     keyer = OrbitKeyer(n + 1, range(2, n + 1), catalog)
     key_fixed: dict[tuple, int] = {}
+    target = CompletePlusEnd(n)
     for table, r in _iter_self_case_tables(n):
-        key = keyer(_validated(table, n))
+        key = keyer(_validated(table, target))
         if key_fixed.setdefault(key, r) != r:
             raise RuntimeError("fixed-point count is not constant on a class")
     keyer.check_closed("x*x = x tables")

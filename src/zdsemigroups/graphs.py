@@ -114,6 +114,16 @@ def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
     return None
 
 
+def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:
+    """The table's recognition when its zero-divisor graph is ``target``, else None.
+
+    The one place where a recognized graph is compared with a known
+    target; the recognition names the pendant and its neighbor.
+    """
+    rec = recognize_target(build_zd_graph(table))
+    return rec if rec is not None and rec.target == target else None
+
+
 def target_to_graph(target: TargetGraph) -> SimpleGraph:
     """Build the labelled graph a conforming table realizes."""
     if isinstance(target, CompleteK):

@@ -50,9 +50,8 @@ from .graphs import (
     CompleteK,
     CompletePlusEnd,
     TargetGraph,
-    build_zd_graph,
     graph_to_dot,
-    recognize_target,
+    realizes,
     target_to_graph,
 )
 from .search import (
@@ -103,8 +102,7 @@ def _check_cached_class(entry: ClassEntry, target: TargetGraph) -> None:
         raise ValueError(f"class {hex_key} does not reproduce its key")
     if not is_zd_semigroup(table):
         raise ValueError(f"class {hex_key} is not a zero-divisor semigroup")
-    rec = recognize_target(build_zd_graph(table))
-    if rec is None or rec.target != target:
+    if realizes(table, target) is None:
         raise ValueError(f"class {hex_key} does not realize the target graph")
 
 
@@ -121,9 +119,10 @@ class ResultsCache:
     def get_catalog(self, kind: str, n: int, method: str) -> Optional[ClassCatalog]:
         """The cached catalog, or None on a miss.
 
-        An unreadable entry is a miss, and so is one with a multiplicity
-        that is not a positive integer or a class whose representative
-        fails ``_check_cached_class``.
+        An unreadable entry is a miss, and so is one that lists no class
+        or one class twice, has a multiplicity that is not a positive
+        integer, or holds a class whose representative fails
+        ``_check_cached_class``.
         """
         path = self._path(kind, n, method)
         if not path.exists():
@@ -131,6 +130,8 @@ class ResultsCache:
         try:
             with open(path) as fh:
                 catalog = ClassCatalog.from_json_obj(json.load(fh))
+            if not catalog.class_count:
+                raise ValueError("the entry lists no class")
             target = target_for(kind, n)
             for entry in catalog.entries():
                 _check_cached_class(entry, target)
@@ -522,7 +523,7 @@ def _verify_target(rows: list[VerifyRow], kind: str, n: int, allow_long_run: boo
         _row(rows, set(oracle.keys()) == set(merged.keys()),
              f"kn1 n={n} generator union vs oracle",
              f"generator={merged.class_count} oracle={oracle.class_count} classes")
-        violations = _ideal_violations(oracle)
+        violations = _ideal_violations(oracle, target_for(kind, n))
         _row(rows, not violations, f"kn1 n={n} clique ideal property",
              f"{len(violations)} violating classes")
 
@@ -537,13 +538,13 @@ def _equivalence_counterexamples(n: int):
     ]
 
 
-def _ideal_violations(catalog: ClassCatalog):
-    """Pendant classes where the clique plus zero is not closed under
-    multiplication."""
+def _ideal_violations(catalog: ClassCatalog, target: TargetGraph):
+    """Pendant classes of ``target`` where the clique plus zero is not
+    closed under multiplication."""
     bad = []
     for entry in catalog.entries():
         table = entry.representative
-        pendant = recognize_target(build_zd_graph(table)).pendant
+        pendant = realizes(table, target).pendant
         elements = range(1, table.m + 1)
         if any(table.entries[u][v] == pendant for u in elements if u != pendant for v in elements):
             bad.append(table)

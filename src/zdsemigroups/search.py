@@ -4,9 +4,11 @@ The search space is seeded from the graph alone: edges force products to
 zero, non-edges forbid them, and everything else is free.  A depth-first
 scan assigns the free cells in a fixed order, pruning a branch as soon
 as some fully determined triple breaks the associative law.  Completed
-tables are re-validated from scratch (associativity, zero-divisor
-membership, exact graph), so the pruning is an optimization only and
-nothing is trusted by construction.
+tables are re-validated from scratch: ``is_zd_semigroup`` checks
+associativity and zero-divisor membership, and ``graphs.realizes``, the
+graph check every generated table also passes, checks the exact graph.
+So the pruning is an optimization only and nothing is trusted by
+construction.
 
 For a commutative table the associative law for every ordered triple is
 equivalent to, for each multiset {u, v, w}, the three products
@@ -50,7 +52,7 @@ from typing import Callable, Iterator, Optional
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import BudgetError
-from .graphs import CompleteK, TargetGraph, build_zd_graph, recognize_target
+from .graphs import CompleteK, TargetGraph, realizes
 from .tables import MulTable, is_zd_semigroup
 
 # Leaf-count ceiling for runs without the long-run flag.  The pendant
@@ -189,12 +191,10 @@ def enumerate_labeled(
         nonlocal accepted
         if depth == depth_max:
             table = MulTable.from_rows(grid)
-            if is_zd_semigroup(table):
-                rec = recognize_target(build_zd_graph(table))
-                if rec is not None and rec.target == target:
-                    accepted += 1
-                    if visitor is not None:
-                        visitor(table)
+            if is_zd_semigroup(table) and realizes(table, target) is not None:
+                accepted += 1
+                if visitor is not None:
+                    visitor(table)
             return
         u, v = slots[depth]
         row_u = grid[u]

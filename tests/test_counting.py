@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from pendant_reference import class_key, pendant_reference
-from zdsemigroups import counting
+from zdsemigroups import counting, graphs
 from zdsemigroups.classify import ClassCatalog, canonical_form
 from zdsemigroups.counting import (
     TABULATED_COUNTS,
@@ -131,6 +131,15 @@ def test_clique_generator_matches_oracle():
 
     for n in (2, 3, 4):
         assert generate_clique_classes(n).keys() == oracle_classes(CompleteK(n)).keys()
+
+
+def test_clique_generator_checks_the_graph(monkeypatch):
+    # associative, but its graph is the path 1 - 3 - 2, not the triangle
+    path = MulTable.from_rows([[0, 0, 0, 0], [0, 1, 2, 0], [0, 2, 0, 0], [0, 0, 0, 0]])
+    assert check_associativity(path) is None
+    monkeypatch.setattr(counting, "_iter_clique_profile_tables", lambda n: iter([path]))
+    with pytest.raises(RuntimeError, match="does not realize"):
+        generate_clique_classes(3)
 
 
 def test_check_clique_squares():
@@ -274,7 +283,7 @@ def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
         calls.append(graph)
         return recognize_target(graph)
 
-    monkeypatch.setattr(counting, "recognize_target", counted)
+    monkeypatch.setattr(graphs, "recognize_target", counted)
     assert [pendant_conditions_hold(t) for t in tables] == expected
     assert len(calls) == len(tables)
 

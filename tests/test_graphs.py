@@ -9,14 +9,35 @@ from zdsemigroups.graphs import (
     SimpleGraph,
     build_zd_graph,
     graph_to_dot,
+    realizes,
     recognize_target,
     target_to_graph,
 )
+from zdsemigroups.search import enumerate_labeled
 from zdsemigroups.tables import MulTable, permute_table
 
 
 def graph_of(edges, n):
     return SimpleGraph(n, frozenset(edges))
+
+
+def table_of(graph):
+    """A table whose zero-divisor graph is ``graph``: uv = 0 on an edge, min(u, v) off it."""
+    m = graph.vertex_count
+    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    for u in range(1, m + 1):
+        for v in range(u + 1, m + 1):
+            if (u, v) not in graph.edges:
+                grid[u][v] = grid[v][u] = u
+    return MulTable.from_rows(grid)
+
+
+def recognized(graph, target):
+    """The recognition of ``graph``, which ``realizes`` repeats on a table of it."""
+    rec = recognize_target(graph)
+    assert rec is not None and rec.target == target
+    assert realizes(table_of(graph), target) == rec
+    return rec
 
 
 def test_target_invariants():
@@ -57,6 +78,17 @@ def test_build_zd_graph_pendant():
     rec = recognize_target(g)
     assert rec.target == CompletePlusEnd(3)
     assert rec.pendant == 4 and rec.neighbor == 1
+    assert realizes(t, CompletePlusEnd(3)) == rec
+    # an oracle table keeps the pendant at m and the neighbor at 1
+    oracle = []
+    enumerate_labeled(CompletePlusEnd(3), oracle.append)
+    assert realizes(oracle[0], CompletePlusEnd(3)) == (CompletePlusEnd(3), 4, 1)
+    # a canonical x*x = 0 representative moves the pendant to 2
+    canonical = MulTable.from_rows([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 1, 1],
+                                    [0, 0, 1, 1, 0], [0, 0, 1, 0, 1]])
+    rec = realizes(canonical, CompletePlusEnd(3))
+    assert rec == recognize_target(build_zd_graph(canonical))
+    assert rec.pendant == 2 and rec.neighbor == 1
 
 
 def test_graph_label_equivariance():
@@ -75,21 +107,19 @@ def test_graph_label_equivariance():
 
 
 def test_recognize_complete():
-    assert recognize_target(graph_of([(1, 2), (1, 3), (2, 3)], 3)).target == CompleteK(3)
-    assert recognize_target(graph_of([], 1)).target == CompleteK(1)
-    assert recognize_target(graph_of([(1, 2)], 2)).target == CompleteK(2)
+    recognized(graph_of([(1, 2), (1, 3), (2, 3)], 3), CompleteK(3))
+    recognized(graph_of([], 1), CompleteK(1))
+    recognized(graph_of([(1, 2)], 2), CompleteK(2))
 
 
 def test_recognize_pendant():
-    rec = recognize_target(graph_of([(1, 2), (1, 3), (2, 3), (2, 4)], 4))
-    assert rec.target == CompletePlusEnd(3)
+    rec = recognized(graph_of([(1, 2), (1, 3), (2, 3), (2, 4)], 4), CompletePlusEnd(3))
     assert rec.pendant == 4 and rec.neighbor == 2
 
 
 def test_recognize_path3_boundary():
     # P3 is the 2-clique with a pendant; the smallest degree-1 vertex wins.
-    rec = recognize_target(graph_of([(1, 2), (2, 3)], 3))
-    assert rec.target == CompletePlusEnd(2)
+    rec = recognized(graph_of([(1, 2), (2, 3)], 3), CompletePlusEnd(2))
     assert rec.pendant == 1 and rec.neighbor == 2
 
 
@@ -97,14 +127,18 @@ def test_recognize_rejects_other_graphs():
     # 4-path and 4-cycle are neither family
     assert recognize_target(graph_of([(1, 2), (2, 3), (3, 4)], 4)) is None
     assert recognize_target(graph_of([(1, 2), (2, 3), (3, 4), (1, 4)], 4)) is None
+    assert realizes(table_of(graph_of([(1, 2), (2, 3), (3, 4)], 4)), CompletePlusEnd(3)) is None
     # complete graph missing one edge
     assert recognize_target(graph_of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], 4)) is None
 
 
 def test_target_to_graph_round_trip():
     for target in (CompleteK(1), CompleteK(4), CompletePlusEnd(3), CompletePlusEnd(5)):
-        rec = recognize_target(target_to_graph(target))
-        assert rec is not None and rec.target == target
+        graph = target_to_graph(target)
+        recognized(graph, target)
+        assert realizes(table_of(graph), type(target)(target.n + 1)) is None  # wrong n
+    # wrong family on the same four elements
+    assert realizes(table_of(target_to_graph(CompleteK(4))), CompletePlusEnd(3)) is None
 
 
 def test_dot_export_stable_and_labelled():

@@ -332,23 +332,32 @@ def test_enumerate_refuses_unkeyable_size_before_work(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-def _tamper_first_class(entry_path, edit):
-    obj = json.loads(entry_path.read_text())
-    edit(obj[0])
-    entry_path.write_text(json.dumps(obj, sort_keys=True))
+def _tamper(entry_path, edit):
+    classes = json.loads(entry_path.read_text())
+    edit(classes)
+    entry_path.write_text(json.dumps(classes, sort_keys=True))
 
 
-def _swap_two_key_digits(item):
-    key = item["key"]
+def _swap_two_key_digits(classes):
+    key = classes[0]["key"]
     i = next(i for i in range(len(key) - 1) if key[i] != key[i + 1])
-    item["key"] = key[:i] + key[i + 1] + key[i] + key[i + 2:]
+    classes[0]["key"] = key[:i] + key[i + 1] + key[i] + key[i + 2:]
 
 
-def _change_one_cell(item):
+def _change_one_cell(classes):
     # a clique square of the last element, kept symmetric by living on the diagonal
-    grid = item["table"]["entries"]
-    m = item["table"]["m"]
+    grid = classes[0]["table"]["entries"]
+    m = classes[0]["table"]["m"]
     grid[m - 1][m - 1] = (grid[m - 1][m - 1] + 1) % (m + 1)
+
+
+def _repeat_first_class(classes):
+    # the last class is lost, and the first is listed twice
+    classes[-1] = classes[0]
+
+
+def _drop_every_class(classes):
+    classes.clear()
 
 
 def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
@@ -358,7 +367,7 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     cold = capsys.readouterr().out
     (entry,) = tmp_path.iterdir()
     intact = entry.read_text()
-    _tamper_first_class(entry, edit)
+    _tamper(entry, edit)
     assert ResultsCache(tmp_path).get_catalog("kn1", 3, "oracle") is None
     assert capsys.readouterr().err.startswith("warning: ignoring unreadable cache entry")
 
@@ -369,7 +378,8 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     assert entry.read_text() == intact
 
 
-@pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell))
+@pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell,
+                                  _repeat_first_class, _drop_every_class))
 def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
     _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit)
 
@@ -377,7 +387,7 @@ def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
 @pytest.mark.parametrize("multiplicity", (0, -7, "3", 2.9, True),
                          ids=("zero", "negative", "string", "float", "bool"))
 def test_cache_entry_with_bad_multiplicity_is_a_miss(tmp_path, capsys, multiplicity):
-    def set_multiplicity(item):
-        item["multiplicity"] = multiplicity
+    def set_multiplicity(classes):
+        classes[0]["multiplicity"] = multiplicity
 
     _assert_tampered_entry_is_a_miss(tmp_path, capsys, set_multiplicity)
