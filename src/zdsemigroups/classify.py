@@ -35,17 +35,20 @@ such order:
 
 Each move keeps a subset of the orders, so the search visits at most m!
 leaves, as brute force would, and returns the same key.
+
 ``ClassCatalog`` keys a table with ``canonical_form`` unless its caller
 passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
-in which each class is one orbit of a known group of relabelings: it
-runs ``canonical_form`` once per orbit and keys the rest by lookup.
+in which each class is one orbit of a known symmetric group of
+relabelings: it runs ``canonical_form`` once per orbit, closes that
+table under the group's adjacent transpositions to list the rest of the
+orbit, and keys those tables by lookup.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -299,15 +302,17 @@ class OrbitKeyer:
     each table emitted once.  Calling the keyer on a table keys it,
     inserts it into ``catalog`` and returns the key.  The first table of
     an orbit is keyed by ``canonical_form``, and the codes (flattened
-    upper triangles as ``bytes``) of its relabelings wait in a pending dict
+    grids as ``bytes``) of the rest of its orbit wait in a pending dict
     with that key; the orbit's other tables pop their key from there.
 
-    Each relabeling is a gather and a rename, identity first.  For the
-    row-major flattening ``flat`` of a table,
-    ``bytes(gather(flat)).translate(rename)`` is the upper triangle of
-    the relabeled table: gather reads the old product that lands on each
-    cell, and rename gives that product its new id.  All |movable|!
-    pairs are built up front.
+    The keyer stores only the transpositions of adjacent elements of
+    ``movable``, which generate the group, each as a gather and a
+    rename.  A transposition is its own inverse, so for a code ``c``,
+    ``bytes(gather(c)).translate(rename)`` is the code of the swapped
+    table: gather reads the old product that lands on each cell, and
+    rename gives that product its new id.  The orbit of a new table is
+    the closure of its code under these swaps, found by a work-list
+    search, so memory grows with the orbits emitted, not with the group.
 
     A code left pending at the end names a relabeling that was never
     emitted, or a table emitted twice, so ``check_closed`` raises
@@ -315,35 +320,29 @@ class OrbitKeyer:
     """
 
     def __init__(self, m: int, movable: Sequence[int], catalog: ClassCatalog):
-        movable = tuple(movable)
-        cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
         self.catalog = catalog
-        self._relabelings = []
-        for image in itertools.permutations(movable):
-            new = list(range(m + 1))  # new[u] is the new id of u
-            for u, w in zip(movable, image):
-                new[u] = w
-            old = [0] * (m + 1)
-            for u, w in enumerate(new):
-                old[w] = u
-            index = [old[u] * (m + 1) + old[v] for u, v in cells]
-            if len(index) > 1:
-                gather = itemgetter(*index)
-            else:  # m = 1: a one-argument itemgetter returns a bare value
-                gather = lambda flat, i=index[0]: (flat[i],)
-            self._relabelings.append((gather, bytes(new).ljust(256, b"\0")))
+        self._swaps = []
+        for a, b in zip(movable, movable[1:]):
+            tau = list(range(m + 1))
+            tau[a], tau[b] = b, a
+            gather = itemgetter(*(u * (m + 1) + v for u in tau for v in tau))
+            self._swaps.append((gather, bytes(tau).ljust(256, b"\0")))
         self._pending: dict[bytes, CanonicalKey] = {}
 
     def __call__(self, table: MulTable) -> CanonicalKey:
-        flat = tuple(itertools.chain.from_iterable(table.entries))
-        pending = self._pending
-        code = bytes(self._relabelings[0][0](flat))
-        key = pending.pop(code, None)
+        code = bytes(chain.from_iterable(table.entries))
+        key = self._pending.pop(code, None)
         if key is None:
             key = canonical_form(table)
-            for gather, rename in self._relabelings:
-                pending[bytes(gather(flat)).translate(rename)] = key
-            del pending[code]
+            orbit = {code}
+            work = [code]
+            for seen in work:
+                for gather, rename in self._swaps:
+                    image = bytes(gather(seen)).translate(rename)
+                    if image not in orbit:
+                        orbit.add(image)
+                        work.append(image)
+            self._pending.update(dict.fromkeys(work[1:], key))
         self.catalog.insert(table, key=key)
         return key
 

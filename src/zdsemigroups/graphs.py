@@ -89,29 +89,26 @@ def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
     """Recognize a complete graph or a complete graph with one pendant.
 
     Completeness is checked first, so the two-vertex path reads as the
-    complete graph on 2 vertices.  The three-vertex path is recognized
-    as a 2-clique plus pendant; with two degree-1 candidates the
-    smallest vertex id is reported as the pendant.
+    complete graph on 2 vertices.  Any other graph is a clique on nv - 1
+    vertices plus a pendant exactly when it has C(nv - 1, 2) + 1 edges
+    and a vertex of degree 1: removing that vertex leaves C(nv - 1, 2)
+    edges on nv - 1 vertices.  The three-vertex path is recognized as a
+    2-clique plus pendant; with two degree-1 candidates the smallest
+    vertex id is reported as the pendant.
     """
     nv = graph.vertex_count
     edges = graph.edges
     if len(edges) == nv * (nv - 1) // 2:
         return Recognition(CompleteK(nv), None, None)
-    if nv < 3:
-        return None
-    adj: dict[int, set[int]] = {u: set() for u in range(1, nv + 1)}
+    degree = [0] * (nv + 1)
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    clique_size = nv - 1
-    for p in range(1, nv + 1):
-        if len(adj[p]) != 1:
-            continue
-        rest = [u for u in range(1, nv + 1) if u != p]
-        if all(len(adj[u] - {p}) == clique_size - 1 for u in rest):
-            neighbor = next(iter(adj[p]))
-            return Recognition(CompletePlusEnd(clique_size), p, neighbor)
-    return None
+        degree[u] += 1
+        degree[v] += 1
+    if len(edges) != (nv - 1) * (nv - 2) // 2 + 1 or 1 not in degree:
+        return None
+    p = degree.index(1)
+    neighbor = next(v if u == p else u for u, v in edges if p in (u, v))
+    return Recognition(CompletePlusEnd(nv - 1), p, neighbor)
 
 
 def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:

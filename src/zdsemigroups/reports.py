@@ -107,16 +107,16 @@ def _check_cached_class(entry: ClassEntry, target: TargetGraph) -> None:
 
 
 class ResultsCache:
-    """Flat-file cache of oracle catalogs keyed by (kind, n, method, version)."""
+    """Flat-file cache of oracle catalogs keyed by (kind, n, version)."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, kind: str, n: int, method: str) -> Path:
-        return self.directory / f"{kind}-n{n}-{method}-v{__version__}.json"
+    def _path(self, kind: str, n: int) -> Path:
+        return self.directory / f"{kind}-n{n}-oracle-v{__version__}.json"
 
-    def get_catalog(self, kind: str, n: int, method: str) -> Optional[ClassCatalog]:
+    def get_catalog(self, kind: str, n: int) -> Optional[ClassCatalog]:
         """The cached catalog, or None on a miss.
 
         An unreadable entry is a miss, and so is one that lists no class
@@ -124,7 +124,7 @@ class ResultsCache:
         integer, or holds a class whose representative fails
         ``_check_cached_class``.
         """
-        path = self._path(kind, n, method)
+        path = self._path(kind, n)
         if not path.exists():
             return None
         try:
@@ -140,9 +140,9 @@ class ResultsCache:
             print(f"warning: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
             return None
 
-    def put_catalog(self, kind: str, n: int, method: str, catalog: ClassCatalog) -> None:
+    def put_catalog(self, kind: str, n: int, catalog: ClassCatalog) -> None:
         """Write through a temporary file, so readers never see a partial entry."""
-        path = self._path(kind, n, method)
+        path = self._path(kind, n)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "w") as fh:
             json.dump(catalog.to_json_obj(), fh, sort_keys=True)
@@ -155,12 +155,12 @@ def oracle_catalog(kind: str, n: int, *, allow_long_run: bool = False,
     target = target_for(kind, n)
     check_budget(target, assignment_count(seed_partial_table(target)), allow_long_run)
     if cache is not None:
-        hit = cache.get_catalog(kind, n, "oracle")
+        hit = cache.get_catalog(kind, n)
         if hit is not None:
             return hit
     catalog = oracle_classes(target, allow_long_run=allow_long_run)
     if cache is not None:
-        cache.put_catalog(kind, n, "oracle", catalog)
+        cache.put_catalog(kind, n, catalog)
     return catalog
 
 
@@ -334,12 +334,12 @@ def evaluate_claims(kind: str, evidence: Evidence, view: tuple[str, ...]) -> lis
 
 
 def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_run: bool,
-                   cache: Optional[ResultsCache], refuse: bool = False) -> Evidence:
+                   cache: Optional[ResultsCache]) -> Evidence:
     """Run the given methods on one target, in order.
 
     An oracle over the budget is skipped (count None), or refused with
-    ``BudgetError`` when ``refuse`` is set.  Pendant targets always get
-    the case breakdown, which the claims read.
+    ``BudgetError`` when it is the only method asked for.  Pendant
+    targets always get the case breakdown, which the claims read.
     """
     counts: dict[str, Optional[int]] = {}
     catalogs: dict[str, ClassCatalog] = {}
@@ -356,7 +356,7 @@ def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_ru
             else:
                 breakdown = pendant_case_breakdown(n)
                 counts["generator"] = breakdown.total
-        elif refuse or allow_long_run or oracle_fits_budget(kind, n):
+        elif methods == ("oracle",) or allow_long_run or oracle_fits_budget(kind, n):
             catalogs["oracle"] = oracle_catalog(
                 kind, n, allow_long_run=allow_long_run, cache=cache
             )
@@ -374,10 +374,8 @@ def build_count_report(kind: str, n: int, method: str = "all", *, allow_long_run
     if method not in (*METHODS, "all"):
         raise UsageError(f"unknown method {method!r}")
     sized_target(kind, n)
-    # An explicit oracle request is refused loudly rather than skipped.
     evidence = _run_pipelines(kind, n, METHODS if method == "all" else (method,),
-                              allow_long_run=allow_long_run, cache=cache,
-                              refuse=method == "oracle")
+                              allow_long_run=allow_long_run, cache=cache)
     skipped = {}
     if "oracle" in evidence.counts and evidence.counts["oracle"] is None:
         skipped["oracle"] = (

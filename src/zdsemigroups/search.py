@@ -166,7 +166,6 @@ def enumerate_labeled(
     target: TargetGraph,
     visitor: Optional[Callable[[MulTable], None]] = None,
     *,
-    prune: bool = True,
     allow_long_run: bool = False,
 ) -> int:
     """Depth-first enumeration of every labelled table realizing ``target``.
@@ -207,7 +206,7 @@ def enumerate_labeled(
         for val in domains[depth]:
             row_u[v] = val
             row_v[u] = val
-            if not prune or not _partial_violation(grid, triples):
+            if not _partial_violation(grid, triples):
                 reading = readers[val]
                 reading.append((u, v))
                 descend(depth + 1)

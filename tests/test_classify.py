@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from pendant_reference import class_key
 from zdsemigroups.classify import (
     ClassCatalog,
+    OrbitKeyer,
     canonical_form,
     key_from_hex,
     key_to_hex,
@@ -269,3 +271,14 @@ def test_catalog_shortcut_matches_full_canonical():
         enumerate_labeled(target, tables.append)
         oracle = oracle_classes(target)
         assert [(e.key, e.multiplicity) for e in oracle.entries()] == brute_catalog(tables)
+
+
+def test_orbit_keyer_memory_does_not_grow_with_the_group():
+    # S_7 has 5,040 relabelings; the keyer keeps only its 6 adjacent swaps
+    tracemalloc.start()
+    try:
+        OrbitKeyer(7, range(1, 8), ClassCatalog())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

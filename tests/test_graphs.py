@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -130,6 +131,28 @@ def test_recognize_rejects_other_graphs():
     assert realizes(table_of(graph_of([(1, 2), (2, 3), (3, 4)], 4)), CompletePlusEnd(3)) is None
     # complete graph missing one edge
     assert recognize_target(graph_of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], 4)) is None
+
+
+def defined_recognition(graph):
+    """The two families by definition: every pair is an edge, or every pair
+    off one vertex p is, plus one edge {p, q}; the smallest such p wins."""
+    vertices = range(1, graph.vertex_count + 1)
+    if graph.edges == frozenset(itertools.combinations(vertices, 2)):
+        return (CompleteK(graph.vertex_count), None, None)
+    for p in vertices:
+        rest = [u for u in vertices if u != p]
+        for q in rest:
+            if graph.edges == {*itertools.combinations(rest, 2), (min(p, q), max(p, q))}:
+                return (CompletePlusEnd(graph.vertex_count - 1), p, q)
+    return None
+
+
+def test_recognize_matches_the_definition_on_every_small_graph():
+    for nv in range(1, 6):
+        pairs = list(itertools.combinations(range(1, nv + 1), 2))
+        for mask in range(1 << len(pairs)):
+            graph = graph_of([pair for i, pair in enumerate(pairs) if mask >> i & 1], nv)
+            assert recognize_target(graph) == defined_recognition(graph), graph
 
 
 def test_target_to_graph_round_trip():

@@ -98,7 +98,7 @@ def test_cli_oracle_budget_refusal_ignores_cache(tmp_path, capsys, command, warm
     cache_dir = tmp_path / "cache"
     if warm:
         ResultsCache(cache_dir).put_catalog(
-            "kn1", 5, "oracle", pendant_case_breakdown(5).merged_catalog())
+            "kn1", 5, pendant_case_breakdown(5).merged_catalog())
     argv = [command, "--graph", "kn1", "--n", "5", "--method", "oracle",
             "--cache-dir", str(cache_dir)]
     if command == "enumerate":
@@ -281,7 +281,7 @@ def test_results_cache_round_trip(tmp_path):
     cache = ResultsCache(tmp_path)
     report = build_count_report("kn1", 3, "oracle", cache=cache)
     assert report.method_counts["oracle"] == 22
-    cached = cache.get_catalog("kn1", 3, "oracle")
+    cached = cache.get_catalog("kn1", 3)
     assert cached is not None and cached.class_count == 22
     # second run hits the cache and agrees
     report2 = build_count_report("kn1", 3, "oracle", cache=cache)
@@ -302,7 +302,7 @@ def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert captured.err.startswith("warning: ignoring unreadable cache entry")
     # the entry was rewritten whole, and no temporary file is left behind
     assert list(tmp_path.iterdir()) == [entry]
-    assert ResultsCache(tmp_path).get_catalog("kn1", 3, "oracle").class_count == 22
+    assert ResultsCache(tmp_path).get_catalog("kn1", 3).class_count == 22
     assert capsys.readouterr().err == ""
 
 
@@ -368,7 +368,7 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     (entry,) = tmp_path.iterdir()
     intact = entry.read_text()
     _tamper(entry, edit)
-    assert ResultsCache(tmp_path).get_catalog("kn1", 3, "oracle") is None
+    assert ResultsCache(tmp_path).get_catalog("kn1", 3) is None
     assert capsys.readouterr().err.startswith("warning: ignoring unreadable cache entry")
 
     assert main(argv) == 0

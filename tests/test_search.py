@@ -1,12 +1,14 @@
 import itertools
 import math
+import os
 
 import pytest
 
-from zdsemigroups import search
+from zdsemigroups import classify, search
 from zdsemigroups.classify import canonical_form
+from zdsemigroups.counting import clique_class_count
 from zdsemigroups.errors import BudgetError
-from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
+from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, realizes, recognize_target
 from zdsemigroups.search import (
     DESK_SCALE_LIMIT,
     assignment_count,
@@ -84,7 +86,12 @@ def test_accepted_tables_are_valid():
 
 def test_pruning_soundness():
     for target in (CompleteK(2), CompleteK(3), CompletePlusEnd(3)):
-        assert enumerate_labeled(target, prune=True) == enumerate_labeled(target, prune=False)
+        prune_free = sum(
+            1
+            for t in iter_candidate_tables(seed_partial_table(target))
+            if is_zd_semigroup(t) and realizes(t, target) is not None
+        )
+        assert enumerate_labeled(target) == prune_free
 
 
 def rescanning_search(target):
@@ -223,6 +230,24 @@ def test_oracle_classes_obey_orbit_stabilizer(target, labelled):
     assert total == labelled == enumerate_labeled(target)
 
 
+@pytest.mark.parametrize(
+    "target", [CompleteK(4), CompleteK(5), CompletePlusEnd(3), CompletePlusEnd(4)], ids=str
+)
+def test_oracle_keys_one_table_per_class(monkeypatch, target):
+    # the keyer lists each whole orbit from its first table, so only that
+    # table reaches canonical_form
+    calls = 0
+    real = classify.canonical_form
+
+    def counted(table):
+        nonlocal calls
+        calls += 1
+        return real(table)
+
+    monkeypatch.setattr(classify, "canonical_form", counted)
+    assert oracle_classes(target).class_count == calls
+
+
 @pytest.mark.parametrize("target", [CompleteK(4), CompletePlusEnd(3), CompletePlusEnd(4)])
 @pytest.mark.parametrize("fault", ["drop", "repeat"])
 def test_oracle_refuses_an_orbit_with_a_missing_or_repeated_table(monkeypatch, target, fault):
@@ -243,3 +268,13 @@ def test_oracle_refuses_an_orbit_with_a_missing_or_repeated_table(monkeypatch, t
     monkeypatch.setattr(search, "enumerate_labeled", faulty)
     with pytest.raises(RuntimeError, match="not closed under relabeling"):
         oracle_classes(target)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the kn n=8 oracle runs only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+def test_oracle_kn8_long_run():
+    catalog = oracle_classes(CompleteK(8), allow_long_run=True)
+    assert catalog.class_count == clique_class_count(8) == 67
+    assert catalog.labeled_count == 136_064
