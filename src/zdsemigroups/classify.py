@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -193,13 +193,7 @@ def table_from_key(key: CanonicalKey) -> MulTable:
     m = int((-1 + (1 + 8 * length) ** 0.5) / 2)
     if m * (m + 1) // 2 != length:
         raise UsageError(f"key length {length} is not a triangular number")
-    grid = [[0] * (m + 1) for _ in range(m + 1)]
-    idx = 0
-    for u in range(1, m + 1):
-        for v in range(u, m + 1):
-            grid[u][v] = grid[v][u] = key[idx]
-            idx += 1
-    return MulTable.from_rows(grid)
+    return MulTable.from_cells(m, zip(combinations_with_replacement(range(1, m + 1), 2), key))
 
 
 def key_to_hex(key: CanonicalKey) -> str:

@@ -14,7 +14,12 @@ import sys
 from typing import Optional
 
 from .classify import MAX_HEX_ELEMENTS, ClassCatalog
-from .counting import generate_clique_classes, pendant_case_breakdown, pendant_square_case
+from .counting import (
+    PENDANT_CASES,
+    generate_clique_classes,
+    pendant_case_breakdown,
+    pendant_square_case,
+)
 from .errors import UsageError
 from .reports import (
     ResultsCache,
@@ -143,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--method", default="auto",
                         choices=("auto", "generator", "oracle"))
     p_enum.add_argument("--case", default=None,
-                        choices=("zero", "self", "attach", "other"),
+                        choices=PENDANT_CASES,
                         help="restrict pendant output to one pendant-square case")
     p_enum.add_argument("--format", default="json", choices=("json", "csv", "dot"))
     p_enum.add_argument("--out", required=True)

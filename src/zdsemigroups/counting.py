@@ -30,8 +30,8 @@ value is kept in ``TABULATED_COUNTS`` and reported as a discrepancy.
 
 The "self" case is stratified by r, the number of clique elements i >= 2
 with i*x = i (the elements fixed by the pendant).  Its conditions (1)-(4)
-(see ``check_pendant_square_self``) fix a class by three things, in the
-same way the square profile fixes a clique class:
+(see ``_self_holds``) fix a class by three things, in the same way the
+square profile fixes a clique class:
 
 - t idempotent fixed points;
 - a multiset of blocks (a, b0, b1), one per fixed element z that squares
@@ -206,28 +206,21 @@ def check_clique_squares(table: MulTable) -> bool:
     return True
 
 
-def _clique_table(n: int, diag: list[int]) -> MulTable:
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        grid[i][i] = diag[i]
-    return MulTable.from_rows(grid)
+def _clique_table(n: int, squares: list[int]) -> MulTable:
+    """The table on 1..n whose only nonzero products are i*i = squares[i - 1]."""
+    return MulTable.from_cells(n, (((i, i), sq) for i, sq in enumerate(squares, start=1)))
 
 
 def _iter_clique_profile_tables(n: int) -> Iterator[MulTable]:
     # The all-idempotent table (the "+1" class).
-    yield _clique_table(n, [0] + list(range(1, n + 1)))
+    yield _clique_table(n, list(range(1, n + 1)))
     for k in range(1, n + 1):
         for t in range(0, n - k + 1):
             for blocks in iter_partitions_exact(n - t, k):
-                diag = [0] * (n + 1)
-                for i in range(k + 1, k + t + 1):
-                    diag[i] = i
-                pos = k + t + 1
-                for nil, size in enumerate(blocks, start=1):
-                    for _ in range(size - 1):
-                        diag[pos] = nil
-                        pos += 1
-                yield _clique_table(n, diag)
+                # k nilpotents, t idempotents, then each nilpotent's pointers.
+                pointers = [nil for nil, size in enumerate(blocks, start=1)
+                            for _ in range(size - 1)]
+                yield _clique_table(n, [0] * k + list(range(k + 1, k + t + 1)) + pointers)
 
 
 def generate_clique_classes(n: int) -> ClassCatalog:
@@ -284,8 +277,8 @@ def pendant_fixed_points(table: MulTable) -> int:
 # ---------------------------------------------------------------------------
 # pendant case checks (on tables with the forced zero pattern)
 #
-# Each ``_*_holds`` body takes the pendant and neighbor from its caller and
-# assumes the pendant's square puts the table in its case.
+# Each ``_*_holds`` body takes the pendant and neighbor from
+# ``pendant_conditions_hold``, which picks the body by the pendant's square.
 
 
 def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> bool:
@@ -297,12 +290,25 @@ def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> 
 
 
 def _pointer_family_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
-    """Shared body of the zero and attach checks."""
+    """x*x = 0 and x*x = neighbor cases: the neighbor squares to 0, and the
+    pendant sends every other clique element to the neighbor; each of those
+    squares to 0 or the neighbor."""
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
     return _sent_to_neighbor(table.entries, others, pendant, neighbor)
 
 
 def _self_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
+    """x*x = x case: the four structure conditions.
+
+    (1) every non-neighbor clique element is sent by the pendant into the
+        non-neighbor clique, and at least one is fixed;
+    (2) a non-fixed element maps to a fixed element that squares to 0,
+        and itself squares to 0 or the neighbor;
+    (3) a fixed element squares to 0, itself, or a fixed element that
+        squares to 0;
+    (4) the neighbor squares to 0 or itself, and to 0 whenever some
+        other element squares to the neighbor.
+    """
     ent = table.entries
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
     other_set = set(others)
@@ -341,6 +347,7 @@ def _self_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
 
 
 def _other_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
+    """x*x = j for a non-neighbor clique element j: three sub-cases for j."""
     ent = table.entries
     j = ent[pendant][pendant]
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor, j)]
@@ -364,45 +371,6 @@ _CASE_HOLDS = {
 }
 
 
-def _check_case(table: MulTable, case: str) -> bool:
-    """Run one case's body; raises if the pendant's square is in another case."""
-    _, pendant, neighbor = _pendant_layout(table)
-    if _square_case(table.entries, pendant, neighbor) != case:
-        raise UsageError(f"table is not in the pendant-square-{case} case")
-    return _CASE_HOLDS[case](table, pendant, neighbor)
-
-
-def check_pendant_square_zero(table: MulTable) -> bool:
-    """x*x = 0 case: neighbor squares to 0, every other clique element is
-    sent to the neighbor by the pendant and squares to 0 or the neighbor."""
-    return _check_case(table, "zero")
-
-
-def check_pendant_square_self(table: MulTable) -> bool:
-    """x*x = x case: the four structure conditions.
-
-    (1) every non-neighbor clique element is sent by the pendant into the
-        non-neighbor clique, and at least one is fixed;
-    (2) a non-fixed element maps to a fixed element that squares to 0,
-        and itself squares to 0 or the neighbor;
-    (3) a fixed element squares to 0, itself, or a fixed element that
-        squares to 0;
-    (4) the neighbor squares to 0 or itself, and to 0 whenever some
-        other element squares to the neighbor.
-    """
-    return _check_case(table, "self")
-
-
-def check_pendant_square_attach(table: MulTable) -> bool:
-    """x*x = neighbor case: structurally the same as the zero case."""
-    return _check_case(table, "attach")
-
-
-def check_pendant_square_other(table: MulTable) -> bool:
-    """x*x = j for a non-neighbor clique element j: three sub-cases for j."""
-    return _check_case(table, "other")
-
-
 def pendant_conditions_hold(table: MulTable) -> bool:
     """Run the matching case check, chosen by the pendant's square.
 
@@ -415,12 +383,6 @@ def pendant_conditions_hold(table: MulTable) -> bool:
 
 # ---------------------------------------------------------------------------
 # pendant case generators (pendant is element m = n+1, neighbor is element 1)
-
-
-def _pendant_grid(n: int) -> list[list[int]]:
-    # All clique products and the pendant-neighbor product are zero.
-    m = n + 1
-    return [[0] * (m + 1) for _ in range(m + 1)]
 
 
 def _validated(table: MulTable, target: TargetGraph) -> MulTable:
@@ -447,13 +409,10 @@ def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
     _require_pendant_size(n)
     m = n + 1
     catalog = ClassCatalog()
-    for pointer_count in range(n):
-        grid = _pendant_grid(n)
-        grid[m][m] = square
-        for i in range(2, n + 1):
-            grid[i][m] = grid[m][i] = 1
-            grid[i][i] = 1 if i - 1 <= pointer_count else 0
-        catalog.insert(_validated(MulTable.from_rows(grid), CompletePlusEnd(n)))
+    for pointer_count in range(n):  # elements 2..pointer_count + 1 square to 1
+        cells = [((m, m), square)] + [((i, m), 1) for i in range(2, n + 1)]
+        cells += [((i, i), 1) for i in range(2, pointer_count + 2)]
+        catalog.insert(_validated(MulTable.from_cells(m, cells), CompletePlusEnd(n)))
     return catalog
 
 
@@ -479,24 +438,16 @@ def generate_pendant_square_other(n: int) -> ClassCatalog:
     catalog = ClassCatalog()
     rest = list(range(3, n + 1))
 
-    def emit(px2: int, sq2: int, forced_zero: int | None, free: list[int]) -> None:
+    def emit(px2: int, sq2: int, free: list[int]) -> None:
+        base = [((m, m), 2), ((2, m), px2), ((2, 2), sq2)] + [((i, m), 1) for i in rest]
         for squares in itertools.product((0, 1), repeat=len(free)):
-            grid = _pendant_grid(n)
-            grid[m][m] = 2
-            grid[2][m] = grid[m][2] = px2
-            grid[2][2] = sq2
-            for i in rest:
-                grid[i][m] = grid[m][i] = 1
-            if forced_zero is not None:
-                grid[forced_zero][forced_zero] = 0
-            for i, sq in zip(free, squares):
-                grid[i][i] = sq
-            catalog.insert(_validated(MulTable.from_rows(grid), CompletePlusEnd(n)))
+            cells = base + [((i, i), sq) for i, sq in zip(free, squares)]
+            catalog.insert(_validated(MulTable.from_cells(m, cells), CompletePlusEnd(n)))
 
-    emit(1, 0, None, rest)  # pendant sends 2 to the neighbor
-    emit(2, 2, None, rest)  # pendant fixes 2, which is idempotent
-    for r in rest:  # pendant sends 2 to another clique element r
-        emit(r, 1, r, [i for i in rest if i != r])
+    emit(1, 0, rest)  # pendant sends 2 to the neighbor
+    emit(2, 2, rest)  # pendant fixes 2, which is idempotent
+    for r in rest:  # pendant sends 2 to another clique element r, which squares to 0
+        emit(r, 1, [i for i in rest if i != r])
     return catalog
 
 
@@ -516,6 +467,7 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
     """All labelled tables meeting the x*x = x conditions, with their r."""
     m = n + 1
     others = list(range(2, n + 1))
+    diagonal = [(i, i) for i in range(1, n + 1)]
     for targets in itertools.product(others, repeat=n - 1):
         prod = dict(zip(others, targets))
         fixed = [i for i in others if prod[i] == i]
@@ -525,11 +477,10 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
         if any(prod[i] not in fixed_set for i in others):
             continue
         hit = {prod[i] for i in others if prod[i] != i}
-        domains = []
-        for i in range(1, n + 1):
-            if i == 1:
-                domains.append((0, 1))
-            elif i in hit:
+        head = [((m, m), m)] + [((i, m), prod[i]) for i in others]
+        domains = [(0, 1)]  # the neighbor's square
+        for i in others:
+            if i in hit:
                 domains.append((0,))
             elif i in fixed_set:
                 domains.append((0, i, *(j for j in fixed if j != i)))
@@ -546,13 +497,7 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
                 continue
             if diag[0] == 1 and any(diag[i - 1] == 1 for i in others):
                 continue
-            grid = _pendant_grid(n)
-            grid[m][m] = m
-            for i in others:
-                grid[i][m] = grid[m][i] = prod[i]
-            for i in range(1, n + 1):
-                grid[i][i] = diag[i - 1]
-            yield MulTable.from_rows(grid), len(fixed)
+            yield MulTable.from_cells(m, head + list(zip(diagonal, diag))), len(fixed)
 
 
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
@@ -612,7 +557,6 @@ class PendantBreakdown:
 
 
 def pendant_case_breakdown(n: int) -> PendantBreakdown:
-    _require_pendant_size(n)
     self_result = generate_pendant_square_self(n)
     catalogs = {
         "zero": generate_pendant_square_zero(n),
@@ -637,11 +581,11 @@ def self_stratum_counts(n: int) -> dict[int, int]:
     _require_pendant_size(n)
     size = n - 1
     counts = dict.fromkeys(range(1, n), 0)
-    for b1_free in (False, True):
+    for b1_zero in (False, True):
         coef = [[1] + [0] * size for _ in range(size + 1)]
         for u in range(1, size + 1):
             for b in range(size - u + 1):
-                for _ in range(1 if b1_free else b + 1):
+                for _ in range(1 if b1_zero else b + 1):
                     for i in range(u, size + 1):
                         for j in range(b, size - i + 1):
                             coef[i][j] += coef[i - u][j - b]
@@ -680,7 +624,6 @@ def pendant_self_formula(n: int) -> int:
 
     The block count is computed once for all strata, and no generator runs.
     """
-    _require_pendant_size(n)
     return sum(_formula_strata(n).values())
 
 
@@ -692,5 +635,5 @@ def pendant_total_formula(n: int) -> int:
     the reports surface that.
     """
     return pendant_self_formula(n) + sum(
-        pendant_case_formula(case, n) for case in ("zero", "attach", "other")
+        pendant_case_formula(case, n) for case in PENDANT_CASES if case != "self"
     )

@@ -30,6 +30,7 @@ from .classify import (
     table_from_key,
 )
 from .counting import (
+    PENDANT_CASES,
     STRATUM_RULES,
     TABULATED_COUNTS,
     PendantBreakdown,
@@ -404,7 +405,7 @@ def render_count_report(report: CountReport) -> str:
         cases = report.strata["cases"]
         lines.append(
             "  cases: "
-            + " | ".join(f"{case}={cases[case]}" for case in ("zero", "self", "attach", "other"))
+            + " | ".join(f"{case}={cases[case]}" for case in PENDANT_CASES)
         )
         fp = report.strata["fixed_points"]
         lines.append(

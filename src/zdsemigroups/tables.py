@@ -65,6 +65,15 @@ class MulTable:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "MulTable":
         return cls(tuple(tuple(map(int, row)) for row in rows))
 
+    @classmethod
+    def from_cells(cls, m: int, cells: Iterable[tuple[tuple[int, int], int]]) -> "MulTable":
+        """Table on 0..m with each listed ``((u, v), value)`` product written
+        at (u, v) and (v, u); every other product is 0."""
+        grid = [[0] * (m + 1) for _ in range(m + 1)]
+        for (u, v), value in cells:
+            grid[u][v] = grid[v][u] = value
+        return cls.from_rows(grid)
+
 
 def mul(table: MulTable, u: int, v: int) -> int:
     """Product of two elements; raises ``UsageError`` on out-of-range ids."""
@@ -121,11 +130,8 @@ def permute_table(table: MulTable, perm: Sequence[int]) -> MulTable:
     if len(perm) != m + 1 or perm[0] != 0 or sorted(perm) != list(range(m + 1)):
         raise UsageError("perm must be a permutation of 0..m fixing 0")
     ent = table.entries
-    grid = [[0] * (m + 1) for _ in range(m + 1)]
-    for u in range(1, m + 1):
-        for v in range(1, m + 1):
-            grid[perm[u]][perm[v]] = perm[ent[u][v]]
-    return MulTable.from_rows(grid)
+    return MulTable.from_cells(m, (((perm[u], perm[v]), perm[ent[u][v]])
+                                   for u in range(1, m + 1) for v in range(u, m + 1)))
 
 
 def table_to_json(table: MulTable) -> dict:

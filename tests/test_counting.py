@@ -10,10 +10,6 @@ from zdsemigroups.classify import ClassCatalog, canonical_form
 from zdsemigroups.counting import (
     TABULATED_COUNTS,
     check_clique_squares,
-    check_pendant_square_attach,
-    check_pendant_square_other,
-    check_pendant_square_self,
-    check_pendant_square_zero,
     clique_class_count,
     count_partitions_exact,
     fixed_points_formula,
@@ -228,17 +224,19 @@ def test_check_self_case_examples():
         grid[2][4] = grid[4][2] = p2
         grid[3][4] = grid[4][3] = p3
         grid[1][1], grid[2][2], grid[3][3] = d1, d2, d3
-        return MulTable.from_rows(grid)
+        table = MulTable.from_rows(grid)
+        assert pendant_square_case(table) == "self"
+        return table
 
-    assert check_pendant_square_self(self_table(2, 2, 0, 0, 0))
+    assert pendant_conditions_hold(self_table(2, 2, 0, 0, 0))
     # pendant product equal to the neighbor violates condition (1)
-    assert not check_pendant_square_self(self_table(1, 2, 0, 0, 0))
+    assert not pendant_conditions_hold(self_table(1, 2, 0, 0, 0))
     # non-fixed target must square to zero
-    assert not check_pendant_square_self(self_table(3, 3, 0, 0, 3))
+    assert not pendant_conditions_hold(self_table(3, 3, 0, 0, 3))
 
 
 def test_check_zero_and_attach_cases():
-    def pendant_table(xsq, products, diag):
+    def pendant_table(case, xsq, products, diag):
         n = len(diag)
         grid = [[0] * (n + 2) for _ in range(n + 2)]
         m = n + 1
@@ -247,12 +245,14 @@ def test_check_zero_and_attach_cases():
             grid[i][m] = grid[m][i] = p
         for i, d in enumerate(diag, start=1):
             grid[i][i] = d
-        return MulTable.from_rows(grid)
+        table = MulTable.from_rows(grid)
+        assert pendant_square_case(table) == case
+        return table
 
-    assert check_pendant_square_zero(pendant_table(0, [1, 1], [0, 0, 1]))
-    assert not check_pendant_square_zero(pendant_table(0, [1, 2], [0, 0, 0]))
-    assert check_pendant_square_attach(pendant_table(1, [1, 1], [0, 1, 0]))
-    assert not check_pendant_square_attach(pendant_table(1, [1, 1], [0, 2, 0]))
+    assert pendant_conditions_hold(pendant_table("zero", 0, [1, 1], [0, 0, 1]))
+    assert not pendant_conditions_hold(pendant_table("zero", 0, [1, 2], [0, 0, 0]))
+    assert pendant_conditions_hold(pendant_table("attach", 1, [1, 1], [0, 1, 0]))
+    assert not pendant_conditions_hold(pendant_table("attach", 1, [1, 1], [0, 2, 0]))
 
 
 def test_pendant_equivalence_exhaustive_n3():
@@ -270,13 +270,7 @@ def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
     # every 7th candidate of n=3 covers all four cases, passing and failing
     tables = list(itertools.islice(iter_candidate_tables(seed_partial_table(CompletePlusEnd(3))),
                                    0, None, 7))
-    public = {
-        "zero": check_pendant_square_zero,
-        "self": check_pendant_square_self,
-        "attach": check_pendant_square_attach,
-        "other": check_pendant_square_other,
-    }
-    expected = [public[pendant_square_case(t)](t) for t in tables]
+    expected = [check_associativity(t) is None for t in tables]
     calls = []
 
     def counted(graph):
@@ -286,28 +280,6 @@ def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
     monkeypatch.setattr(graphs, "recognize_target", counted)
     assert [pendant_conditions_hold(t) for t in tables] == expected
     assert len(calls) == len(tables)
-
-
-def test_case_checks_refuse_other_cases():
-    checks = {
-        "zero": check_pendant_square_zero,
-        "self": check_pendant_square_self,
-        "attach": check_pendant_square_attach,
-        "other": check_pendant_square_other,
-    }
-    samples = {c: generate_case(3).entries()[0].representative for c, generate_case in (
-        ("zero", generate_pendant_square_zero),
-        ("attach", generate_pendant_square_attach),
-        ("other", generate_pendant_square_other),
-    )}
-    samples["self"] = generate_pendant_square_self(3).catalog.entries()[0].representative
-    for case, check in checks.items():
-        for other, table in samples.items():
-            if other == case:
-                check(table)
-                continue
-            with pytest.raises(UsageError, match=f"^table is not in the pendant-square-{case} case$"):
-                check(table)
 
 
 def _keyed_reference(n, key_of):

@@ -1,8 +1,11 @@
-"""Byte-for-byte golden outputs of the count reports and the verify matrix.
+"""Byte-for-byte golden outputs of the count reports, the verify matrix and
+the generator catalogs.
 
 The files under ``tests/golden/`` freeze the rendered count reports, their
-JSON form and the verify matrix with its exit code.  Refactors of the
-reporting layer must reproduce them exactly.  Regenerate them only when
+JSON form, the verify matrix with its exit code, and catalog exports of the
+condition generators (keys, representatives, multiplicities and the CSV
+columns).  Refactors of the reporting layer or the generators must
+reproduce them exactly.  Regenerate them only when
 an output change is intended, with:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,8 +14,11 @@ an output change is intended, with:
 import json
 from pathlib import Path
 
+from zdsemigroups.counting import generate_clique_classes, pendant_case_breakdown
 from zdsemigroups.reports import (
     build_count_report,
+    catalog_csv_text,
+    catalog_json_text,
     render_count_report,
     render_verification,
     run_verification,
@@ -38,6 +44,11 @@ def golden_outputs() -> dict[str, str]:
     rows, code = run_verification(1, 5)
     out["verify-1..5.txt"] = render_verification(rows, code)
     out["verify-1..5.exit"] = f"{code}\n"
+    out["enumerate-kn1-n3-generator.json"] = catalog_json_text(
+        pendant_case_breakdown(3).merged_catalog())
+    out["enumerate-kn1-n5-generator.csv"] = catalog_csv_text(
+        "kn1", 5, pendant_case_breakdown(5).merged_catalog())
+    out["enumerate-kn-n6-generator.csv"] = catalog_csv_text("kn", 6, generate_clique_classes(6))
     return out
 
 

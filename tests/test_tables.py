@@ -138,6 +138,17 @@ def test_validation_rejects_bad_grids():
         MulTable.from_rows([[0, 0, 0], [0, 0, 1], [0, 2, 0]])  # asymmetric
 
 
+def test_from_cells_mirrors_listed_products():
+    t = MulTable.from_cells(3, [((1, 3), 2), ((2, 2), 1), ((3, 3), 3)])
+    assert t.entries == ((0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 0), (0, 2, 0, 3))
+    assert MulTable.from_cells(3, []) == K3_NULL
+    with pytest.raises(UsageError) as from_cells_error:
+        MulTable.from_cells(1, [((1, 1), 5)])
+    with pytest.raises(UsageError) as from_rows_error:
+        MulTable.from_rows([[0, 0], [0, 5]])
+    assert str(from_cells_error.value) == str(from_rows_error.value)
+
+
 def test_json_round_trip():
     t = clique_table([2, 0, 1])
     blob = json.dumps(table_to_json(t))
