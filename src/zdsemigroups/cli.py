@@ -14,21 +14,16 @@ import sys
 from typing import Optional
 
 from .classify import MAX_HEX_ELEMENTS, ClassCatalog
-from .counting import (
-    PENDANT_CASES,
-    generate_clique_classes,
-    pendant_case_breakdown,
-    pendant_square_case,
-)
+from .counting import PENDANT_CASES, pendant_square_case
 from .errors import UsageError
 from .reports import (
     ResultsCache,
     build_count_report,
     catalog_dot_text,
-    oracle_catalog,
     oracle_fits_budget,
     render_count_report,
     render_verification,
+    run_pipelines,
     run_verification,
     sized_target,
     write_catalog,
@@ -66,31 +61,22 @@ def cmd_count(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(report.to_json_obj(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if args.method == "all" and not report.internally_consistent:
-        return 1
-    return 0
+    return 0 if report.internally_consistent else 1
 
 
-def _select_catalog(args, cache):
-    kind, n = args.graph, args.n
-    method = args.method
+def _select_catalog(args, cache) -> ClassCatalog:
+    kind, n, method = args.graph, args.n, args.method
     if method == "auto":
         method = "oracle" if (oracle_fits_budget(kind, n) or args.allow_long_run) else "generator"
-    if method == "oracle":
-        catalog = oracle_catalog(kind, n, allow_long_run=args.allow_long_run, cache=cache)
-        if kind == "kn1" and args.case:
-            filtered = ClassCatalog()
-            for entry in catalog.entries():
-                if pendant_square_case(entry.representative) == args.case:
-                    filtered.add_entry(entry)
-            return filtered
+    evidence = run_pipelines(kind, n, (method,), allow_long_run=args.allow_long_run, cache=cache)
+    catalog = evidence.catalogs[method]
+    if not args.case:
         return catalog
-    if kind == "kn":
-        return generate_clique_classes(n)
-    breakdown = pendant_case_breakdown(n)
-    if args.case:
-        return breakdown.catalogs[args.case]
-    return breakdown.merged_catalog()
+    filtered = ClassCatalog()
+    for entry in catalog.entries():
+        if pendant_square_case(entry.representative) == args.case:
+            filtered.add_entry(entry)
+    return filtered
 
 
 def cmd_enumerate(args) -> int:

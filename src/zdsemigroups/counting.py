@@ -537,7 +537,6 @@ PENDANT_CASES = ("zero", "self", "attach", "other")
 class PendantBreakdown:
     """Per-case catalogs for one pendant target."""
 
-    n: int
     catalogs: dict[str, ClassCatalog]
     by_fixed_points: dict[int, int]
 
@@ -564,7 +563,7 @@ def pendant_case_breakdown(n: int) -> PendantBreakdown:
         "attach": generate_pendant_square_attach(n),
         "other": generate_pendant_square_other(n),
     }
-    return PendantBreakdown(n, catalogs, self_result.by_fixed_points)
+    return PendantBreakdown(catalogs, self_result.by_fixed_points)
 
 
 def self_stratum_counts(n: int) -> dict[int, int]:

@@ -120,10 +120,10 @@ class ResultsCache:
     def get_catalog(self, kind: str, n: int) -> Optional[ClassCatalog]:
         """The cached catalog, or None on a miss.
 
-        An unreadable entry is a miss, and so is one that lists no class
-        or one class twice, has a multiplicity that is not a positive
-        integer, or holds a class whose representative fails
-        ``_check_cached_class``.
+        An unreadable entry is a miss, JSON nested too deeply to decode
+        included.  So is one that lists no class or one class twice, has a
+        multiplicity that is not a positive integer, or holds a class whose
+        representative fails ``_check_cached_class``.
         """
         path = self._path(kind, n)
         if not path.exists():
@@ -137,24 +137,31 @@ class ResultsCache:
             for entry in catalog.entries():
                 _check_cached_class(entry, target)
             return catalog
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"warning: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
             return None
 
     def put_catalog(self, kind: str, n: int, catalog: ClassCatalog) -> None:
-        """Write through a temporary file, so readers never see a partial entry."""
+        """Write through a temporary file, so readers never see a partial entry.
+
+        The temporary file is removed if the write or the rename fails.
+        """
         path = self._path(kind, n)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(catalog.to_json_obj(), fh, sort_keys=True)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(catalog.to_json_obj(), fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def oracle_catalog(kind: str, n: int, *, allow_long_run: bool = False,
                    cache: Optional[ResultsCache] = None) -> ClassCatalog:
     """The oracle catalog, cached if possible; the budget is checked before the cache."""
     target = target_for(kind, n)
-    check_budget(target, assignment_count(seed_partial_table(target)), allow_long_run)
+    check_budget(target, allow_long_run)
     if cache is not None:
         hit = cache.get_catalog(kind, n)
         if hit is not None:
@@ -226,8 +233,8 @@ class Evidence(NamedTuple):
 
     n: int
     counts: dict[str, Optional[int]]  # by method; absent or None when not run
-    catalogs: dict[str, ClassCatalog]  # clique "generator" and "oracle" catalogs
-    breakdown: Optional[PendantBreakdown]
+    catalogs: dict[str, ClassCatalog]  # "generator" and "oracle" catalogs, when run
+    breakdown: Optional[PendantBreakdown]  # pendant case catalogs
 
 
 class Claim(NamedTuple):
@@ -334,38 +341,36 @@ def evaluate_claims(kind: str, evidence: Evidence, view: tuple[str, ...]) -> lis
     return [claims[claim_id] for claim_id in view if claim_id in claims]
 
 
-def _run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_run: bool,
-                   cache: Optional[ResultsCache]) -> Evidence:
+def run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_run: bool,
+                  cache: Optional[ResultsCache]) -> Evidence:
     """Run the given methods on one target, in order.
 
-    An oracle over the budget is skipped (count None), or refused with
-    ``BudgetError`` when it is the only method asked for.  Pendant
-    targets always get the case breakdown, which the claims read.
+    Every method that runs leaves its count, and the generator and the
+    oracle also leave their catalogs under their own names.  On a pendant
+    target the generator's catalog is its case breakdown merged, and the
+    breakdown itself is kept for the claims; a caller that needs the
+    claims without the generator builds the breakdown itself.  An oracle
+    over the budget is skipped (count None), or refused with
+    ``BudgetError`` when it is the only method asked for.
     """
     counts: dict[str, Optional[int]] = {}
     catalogs: dict[str, ClassCatalog] = {}
-    # The generator's pendant breakdown also serves the claims.  Without
-    # the generator it is built last, so that a refused oracle fails fast.
     breakdown = None
     for name in methods:
         if name == "formula":
-            counts["formula"] = clique_class_count(n) if kind == "kn" else pendant_total_formula(n)
+            counts[name] = clique_class_count(n) if kind == "kn" else pendant_total_formula(n)
         elif name == "generator":
             if kind == "kn":
-                catalogs["generator"] = generate_clique_classes(n)
-                counts["generator"] = catalogs["generator"].class_count
+                catalogs[name] = generate_clique_classes(n)
             else:
                 breakdown = pendant_case_breakdown(n)
-                counts["generator"] = breakdown.total
+                catalogs[name] = breakdown.merged_catalog()
+            counts[name] = catalogs[name].class_count
         elif methods == ("oracle",) or allow_long_run or oracle_fits_budget(kind, n):
-            catalogs["oracle"] = oracle_catalog(
-                kind, n, allow_long_run=allow_long_run, cache=cache
-            )
-            counts["oracle"] = catalogs["oracle"].class_count
+            catalogs[name] = oracle_catalog(kind, n, allow_long_run=allow_long_run, cache=cache)
+            counts[name] = catalogs[name].class_count
         else:
-            counts["oracle"] = None
-    if kind == "kn1" and breakdown is None:
-        breakdown = pendant_case_breakdown(n)
+            counts[name] = None
     return Evidence(n, counts, catalogs, breakdown)
 
 
@@ -375,8 +380,12 @@ def build_count_report(kind: str, n: int, method: str = "all", *, allow_long_run
     if method not in (*METHODS, "all"):
         raise UsageError(f"unknown method {method!r}")
     sized_target(kind, n)
-    evidence = _run_pipelines(kind, n, METHODS if method == "all" else (method,),
-                              allow_long_run=allow_long_run, cache=cache)
+    evidence = run_pipelines(kind, n, METHODS if method == "all" else (method,),
+                             allow_long_run=allow_long_run, cache=cache)
+    # The pendant claims read the case breakdown.  Without the generator it
+    # is built after the pipelines, so that a refused oracle fails fast.
+    if kind == "kn1" and evidence.breakdown is None:
+        evidence = evidence._replace(breakdown=pendant_case_breakdown(n))
     skipped = {}
     if "oracle" in evidence.counts and evidence.counts["oracle"] is None:
         skipped["oracle"] = (
@@ -504,7 +513,7 @@ def _verify_target(rows: list[VerifyRow], kind: str, n: int, allow_long_run: boo
                    cache: Optional[ResultsCache]) -> None:
     # No claim reads the pendant formula.
     methods = METHODS if kind == "kn" else ("generator", "oracle")
-    evidence = _run_pipelines(kind, n, methods, allow_long_run=allow_long_run, cache=cache)
+    evidence = run_pipelines(kind, n, methods, allow_long_run=allow_long_run, cache=cache)
     rows.extend(claim.row() for claim in evaluate_claims(kind, evidence, VERIFY_VIEW))
 
     if kind == "kn1" and n == 3:
@@ -518,10 +527,10 @@ def _verify_target(rows: list[VerifyRow], kind: str, n: int, allow_long_run: boo
         rows.append(VerifyRow("SKIP", f"{kind} n={n} oracle",
                               "search space over the desk-scale limit"))
     elif kind == "kn1":
-        merged = evidence.breakdown.merged_catalog()
-        _row(rows, set(oracle.keys()) == set(merged.keys()),
+        union = evidence.catalogs["generator"]
+        _row(rows, set(oracle.keys()) == set(union.keys()),
              f"kn1 n={n} generator union vs oracle",
-             f"generator={merged.class_count} oracle={oracle.class_count} classes")
+             f"generator={union.class_count} oracle={oracle.class_count} classes")
         violations = _ideal_violations(oracle, target_for(kind, n))
         _row(rows, not violations, f"kn1 n={n} clique ideal property",
              f"{len(violations)} violating classes")

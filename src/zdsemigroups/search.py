@@ -66,7 +66,6 @@ UNSET = -1
 class SearchSpec:
     """Free cells, their value domains, and the forced partial table."""
 
-    target: TargetGraph
     slots: tuple[tuple[int, int], ...]
     domains: tuple[tuple[int, ...], ...]
     template: tuple[tuple[int, ...], ...]
@@ -109,7 +108,7 @@ def seed_partial_table(target: TargetGraph) -> SearchSpec:
             *(nonzero for _ in range(2, n + 1)),
             *(full_domain for _ in range(1, n + 1)),
         )
-    return SearchSpec(target, slots, domains, tuple(tuple(row) for row in grid))
+    return SearchSpec(slots, domains, tuple(tuple(row) for row in grid))
 
 
 def _automorphism_movable(target: TargetGraph) -> tuple[int, ...]:
@@ -127,8 +126,9 @@ def assignment_count(spec: SearchSpec) -> int:
     return prod(len(d) for d in spec.domains)
 
 
-def check_budget(target: TargetGraph, leaves: int, allow_long_run: bool) -> None:
-    """Refuse a search of ``leaves`` prune-free leaves beyond the desk-scale limit."""
+def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
+    """Refuse a search of ``target`` whose prune-free leaves exceed the desk-scale limit."""
+    leaves = assignment_count(seed_partial_table(target))
     if leaves > DESK_SCALE_LIMIT and not allow_long_run:
         raise BudgetError(
             f"{leaves} assignments for {target} exceeds the desk-scale limit "
@@ -173,8 +173,8 @@ def enumerate_labeled(
     ``visitor`` receives each accepted table in deterministic slot order.
     Returns the number of accepted tables.
     """
+    check_budget(target, allow_long_run)
     spec = seed_partial_table(target)
-    check_budget(target, assignment_count(spec), allow_long_run)
     m = target.element_count
     grid = [list(row) for row in spec.template]
     slots = spec.slots

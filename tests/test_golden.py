@@ -48,6 +48,8 @@ def golden_outputs() -> dict[str, str]:
         pendant_case_breakdown(3).merged_catalog())
     out["enumerate-kn1-n5-generator.csv"] = catalog_csv_text(
         "kn1", 5, pendant_case_breakdown(5).merged_catalog())
+    out["enumerate-kn1-n4-self-generator.csv"] = catalog_csv_text(
+        "kn1", 4, pendant_case_breakdown(4).catalogs["self"])
     out["enumerate-kn-n6-generator.csv"] = catalog_csv_text("kn", 6, generate_clique_classes(6))
     return out
 

@@ -8,11 +8,12 @@ import pytest
 
 from zdsemigroups import counting
 from zdsemigroups.cli import main
-from zdsemigroups.counting import pendant_case_breakdown
+from zdsemigroups.counting import PENDANT_CASES, pendant_case_breakdown
 from zdsemigroups.errors import UsageError
 from zdsemigroups.reports import (
     ResultsCache,
     build_count_report,
+    catalog_csv_text,
     render_count_report,
     render_verification,
     run_verification,
@@ -162,6 +163,29 @@ def test_cli_enumerate_kn1_case_attach(tmp_path, capsys):
     assert len(reps) == 3
 
 
+@pytest.mark.parametrize("case", PENDANT_CASES)
+@pytest.mark.parametrize("n", (3, 4))
+def test_cli_enumerate_case_filter(tmp_path, capsys, n, case):
+    """Each method's --case output holds the classes whose own x*x is that case."""
+
+    def enumerate_case(method):
+        out_path = tmp_path / f"{method}.csv"
+        code = main(["enumerate", "--graph", "kn1", "--n", str(n), "--method", method,
+                     "--case", case, "--format", "csv", "--out", str(out_path)])
+        assert code == 0
+        return out_path.read_text()
+
+    generator = enumerate_case("generator")
+    oracle = enumerate_case("oracle")
+    capsys.readouterr()
+    assert generator == catalog_csv_text("kn1", n, pendant_case_breakdown(n).catalogs[case])
+
+    def keys(text):
+        return [line.split(",")[3] for line in text.splitlines()[1:]]
+
+    assert keys(oracle) == keys(generator)
+
+
 def test_cli_enumerate_kn_n1(tmp_path, capsys):
     out_path = tmp_path / "k1.json"
     code = main(["enumerate", "--graph", "kn", "--n", "1", "--out", str(out_path)])
@@ -288,13 +312,13 @@ def test_results_cache_round_trip(tmp_path):
     assert report2.method_counts["oracle"] == 22
 
 
-def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
+def _assert_unreadable_entry_is_a_miss(tmp_path, capsys, corrupt):
     argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     cold = capsys.readouterr().out
     (entry,) = tmp_path.iterdir()
-    entry.write_text(entry.read_text()[:100])
+    entry.write_text(corrupt(entry.read_text()))
 
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -304,6 +328,26 @@ def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [entry]
     assert ResultsCache(tmp_path).get_catalog("kn1", 3).class_count == 22
     assert capsys.readouterr().err == ""
+
+
+def test_truncated_cache_entry_is_a_miss(tmp_path, capsys):
+    _assert_unreadable_entry_is_a_miss(tmp_path, capsys, lambda text: text[:100])
+
+
+def test_deeply_nested_cache_entry_is_a_miss(tmp_path, capsys):
+    # json.load raises RecursionError here, not ValueError
+    _assert_unreadable_entry_is_a_miss(tmp_path, capsys,
+                                       lambda text: "[" * 100000 + "]" * 100000)
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys):
+    entry = ResultsCache(tmp_path)._path("kn1", 3)
+    entry.mkdir()  # the rename onto the entry path fails
+    code = main(["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_enumerate_refuses_small_pendant_target(tmp_path, capsys):
@@ -321,8 +365,8 @@ def test_enumerate_refuses_unkeyable_size_before_work(tmp_path, capsys, monkeypa
     def no_work(*args, **kwargs):
         raise AssertionError("a generator ran before the size check")
 
-    monkeypatch.setattr("zdsemigroups.cli.generate_clique_classes", no_work)
-    monkeypatch.setattr("zdsemigroups.cli.pendant_case_breakdown", no_work)
+    monkeypatch.setattr("zdsemigroups.reports.generate_clique_classes", no_work)
+    monkeypatch.setattr("zdsemigroups.reports.pendant_case_breakdown", no_work)
     out = tmp_path / "out.json"
     code = main(["enumerate", "--graph", kind, "--n", str(n), "--method", "generator",
                  "--out", str(out)])
