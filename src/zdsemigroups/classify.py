@@ -46,11 +46,12 @@ orbit, and keys those tables by lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations_with_replacement
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import UsageError
 from .graphs import CompleteK, realizes
@@ -206,23 +207,27 @@ def key_from_hex(text: str) -> CanonicalKey:
     return tuple(int(ch, 16) for ch in text)
 
 
-@dataclass
-class ClassEntry:
+class ClassEntry(NamedTuple):
     key: CanonicalKey
-    representative: MulTable
     multiplicity: int
+
+    @property
+    def representative(self) -> MulTable:
+        """The canonical table, rebuilt from the key."""
+        return table_from_key(self.key)
 
 
 @dataclass(repr=False)
 class ClassCatalog:
-    """Isomorphism classes keyed by canonical form.
+    """Isomorphism classes as a map from canonical key to multiplicity.
 
-    Representatives are stored in canonical labeling (they reproduce
-    their own key); multiplicities count the labelled tables inserted,
-    so the catalog doubles as an orbit-size bookkeeper.
+    A class is its key: its representative is the canonical table that
+    ``table_from_key`` rebuilds from the key, so it is never stored.
+    Multiplicities count the labelled tables inserted, so the catalog
+    doubles as an orbit-size bookkeeper.
     """
 
-    _classes: dict[CanonicalKey, ClassEntry] = field(default_factory=dict)
+    _multiplicity: Counter = field(default_factory=Counter)
 
     def __repr__(self) -> str:
         return f"ClassCatalog(classes={self.class_count}, labeled={self.labeled_count})"
@@ -231,37 +236,29 @@ class ClassCatalog:
         """Insert one labelled table; True when a new class was created."""
         if key is None:
             key = canonical_form(table)
-        entry = self._classes.get(key)
-        if entry is not None:
-            entry.multiplicity += 1
-            return False
-        self._classes[key] = ClassEntry(key, table_from_key(key), 1)
-        return True
+        new = key not in self._multiplicity
+        self._multiplicity[key] += 1
+        return new
 
     @property
     def class_count(self) -> int:
-        return len(self._classes)
+        return len(self._multiplicity)
 
     @property
     def labeled_count(self) -> int:
-        return sum(e.multiplicity for e in self._classes.values())
+        return sum(self._multiplicity.values())
 
     def keys(self) -> list[CanonicalKey]:
-        return sorted(self._classes)
+        return sorted(self._multiplicity)
 
     def entries(self) -> list[ClassEntry]:
-        return [self._classes[k] for k in self.keys()]
+        return [ClassEntry(k, self._multiplicity[k]) for k in self.keys()]
 
     def add_entry(self, entry: ClassEntry) -> None:
-        existing = self._classes.get(entry.key)
-        if existing is None:
-            self._classes[entry.key] = replace(entry)
-        else:
-            existing.multiplicity += entry.multiplicity
+        self._multiplicity[entry.key] += entry.multiplicity
 
     def merge(self, other: "ClassCatalog") -> None:
-        for entry in other.entries():
-            self.add_entry(entry)
+        self._multiplicity.update(other._multiplicity)
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -278,12 +275,14 @@ class ClassCatalog:
         catalog = cls()
         for item in obj:
             key = key_from_hex(item["key"])
-            if key in catalog._classes:
+            if key in catalog._multiplicity:
                 raise ValueError(f"class {item['key']} is listed twice")
             multiplicity = item["multiplicity"]
             if type(multiplicity) is not int or multiplicity < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
-            catalog._classes[key] = ClassEntry(key, table_from_json(item["table"]), multiplicity)
+            if table_from_json(item["table"]) != table_from_key(key):
+                raise ValueError(f"class {key_to_hex(key)} does not reproduce its key")
+            catalog._multiplicity[key] = multiplicity
         return catalog
 
 

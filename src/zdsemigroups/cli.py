@@ -20,7 +20,6 @@ from .reports import (
     ResultsCache,
     build_count_report,
     catalog_dot_text,
-    oracle_fits_budget,
     render_count_report,
     render_verification,
     run_pipelines,
@@ -28,6 +27,7 @@ from .reports import (
     sized_target,
     write_catalog,
 )
+from .search import fits_budget
 
 
 def _add_common(parser: argparse.ArgumentParser, *, with_method: bool) -> None:
@@ -67,7 +67,8 @@ def cmd_count(args) -> int:
 def _select_catalog(args, cache) -> ClassCatalog:
     kind, n, method = args.graph, args.n, args.method
     if method == "auto":
-        method = "oracle" if (oracle_fits_budget(kind, n) or args.allow_long_run) else "generator"
+        fits = args.allow_long_run or fits_budget(sized_target(kind, n))
+        method = "oracle" if fits else "generator"
     evidence = run_pipelines(kind, n, (method,), allow_long_run=args.allow_long_run, cache=cache)
     catalog = evidence.catalogs[method]
     if not args.case:

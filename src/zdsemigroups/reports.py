@@ -27,7 +27,6 @@ from .classify import (
     canonical_form,
     key_to_hex,
     square_profile,
-    table_from_key,
 )
 from .counting import (
     PENDANT_CASES,
@@ -57,9 +56,9 @@ from .graphs import (
 )
 from .search import (
     DESK_SCALE_LIMIT,
-    assignment_count,
     check_budget,
     enumerate_labeled,
+    fits_budget,
     iter_candidate_tables,
     oracle_classes,
     seed_partial_table,
@@ -67,9 +66,15 @@ from .search import (
 from .tables import check_associativity, is_zd_semigroup, permute_table, table_to_json
 
 METHODS = ("formula", "generator", "oracle")
+# Targets above this n are refused before any work: on a 2-core VM the
+# kn formula takes about 2 s at n = 4000, and the refused oracle's seed
+# peaks at about 260 MB.
+MAX_N = 4000
 
 
 def target_for(kind: str, n: int) -> TargetGraph:
+    if n > MAX_N:
+        raise UsageError(f"targets need n <= {MAX_N}")
     if kind == "kn":
         return CompleteK(n)
     if kind == "kn1":
@@ -86,20 +91,16 @@ def sized_target(kind: str, n: int) -> TargetGraph:
     return target_for(kind, n)
 
 
-def oracle_fits_budget(kind: str, n: int) -> bool:
-    return assignment_count(seed_partial_table(target_for(kind, n))) <= DESK_SCALE_LIMIT
-
-
 def _check_cached_class(entry: ClassEntry, target: TargetGraph) -> None:
-    """Raise ``ValueError`` unless the entry holds a canonical table of ``target``.
+    """Raise ``ValueError`` unless the entry's key spells a canonical table of ``target``.
 
-    The representative must be the table its key spells, reproduce that
-    key under ``canonical_form``, be a zero-divisor semigroup and realize
-    exactly the target graph.
+    The representative rebuilt from the key must reproduce that key under
+    ``canonical_form``, be a zero-divisor semigroup and realize exactly
+    the target graph.
     """
     table = entry.representative
     hex_key = key_to_hex(entry.key)
-    if canonical_form(table) != entry.key or table != table_from_key(entry.key):
+    if canonical_form(table) != entry.key:
         raise ValueError(f"class {hex_key} does not reproduce its key")
     if not is_zd_semigroup(table):
         raise ValueError(f"class {hex_key} is not a zero-divisor semigroup")
@@ -121,18 +122,26 @@ class ResultsCache:
         """The cached catalog, or None on a miss.
 
         An unreadable entry is a miss, JSON nested too deeply to decode
-        included.  So is one that lists no class or one class twice, has a
-        multiplicity that is not a positive integer, or holds a class whose
-        representative fails ``_check_cached_class``.
+        included.  So is one that is not a ``labeled``/``classes`` object,
+        lists no class or one class twice, has a multiplicity that is not a
+        positive integer, holds a class whose table or key fails
+        ``_check_cached_class``, or whose multiplicities do not sum to its
+        ``labeled`` total.
         """
         path = self._path(kind, n)
         if not path.exists():
             return None
         try:
             with open(path) as fh:
-                catalog = ClassCatalog.from_json_obj(json.load(fh))
+                obj = json.load(fh)
+            if not isinstance(obj, dict):
+                raise ValueError("the entry is not a labeled/classes object")
+            catalog = ClassCatalog.from_json_obj(obj["classes"])
             if not catalog.class_count:
                 raise ValueError("the entry lists no class")
+            if obj["labeled"] != catalog.labeled_count:
+                raise ValueError(f"the classes hold {catalog.labeled_count} labelled tables, "
+                                 f"not {obj['labeled']!r}")
             target = target_for(kind, n)
             for entry in catalog.entries():
                 _check_cached_class(entry, target)
@@ -144,13 +153,16 @@ class ResultsCache:
     def put_catalog(self, kind: str, n: int, catalog: ClassCatalog) -> None:
         """Write through a temporary file, so readers never see a partial entry.
 
-        The temporary file is removed if the write or the rename fails.
+        The entry records the number of labelled tables beside the classes,
+        so a class lost or a multiplicity changed is a miss.  The temporary
+        file is removed if the write or the rename fails.
         """
         path = self._path(kind, n)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        entry = {"labeled": catalog.labeled_count, "classes": catalog.to_json_obj()}
         try:
             with open(tmp, "w") as fh:
-                json.dump(catalog.to_json_obj(), fh, sort_keys=True)
+                json.dump(entry, fh, sort_keys=True)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -366,7 +378,7 @@ def run_pipelines(kind: str, n: int, methods: tuple[str, ...], *, allow_long_run
                 breakdown = pendant_case_breakdown(n)
                 catalogs[name] = breakdown.merged_catalog()
             counts[name] = catalogs[name].class_count
-        elif methods == ("oracle",) or allow_long_run or oracle_fits_budget(kind, n):
+        elif methods == ("oracle",) or allow_long_run or fits_budget(target_for(kind, n)):
             catalogs[name] = oracle_catalog(kind, n, allow_long_run=allow_long_run, cache=cache)
             counts[name] = catalogs[name].class_count
         else:
@@ -452,15 +464,16 @@ def catalog_csv_text(kind: str, n: int, catalog: ClassCatalog) -> str:
     ]
     rows = [header]
     for class_id, entry in enumerate(catalog.entries()):
+        table = entry.representative
         case = ""
         fixed = ""
         nil = idem = blocks = ""
         if kind == "kn1":
-            case = pendant_square_case(entry.representative)
+            case = pendant_square_case(table)
             if case == "self":
-                fixed = str(pendant_fixed_points(entry.representative))
+                fixed = str(pendant_fixed_points(table))
         else:
-            profile = square_profile(entry.representative)
+            profile = square_profile(table)
             nil = str(profile.nilpotent_count)
             idem = str(profile.idempotent_count)
             blocks = "+".join(str(b) for b in profile.block_sizes)

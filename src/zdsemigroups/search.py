@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import log10, prod
 from typing import Callable, Iterator, Optional
 
 from .classify import ClassCatalog, OrbitKeyer
@@ -126,14 +126,34 @@ def assignment_count(spec: SearchSpec) -> int:
     return prod(len(d) for d in spec.domains)
 
 
+def fits_budget(target: TargetGraph) -> bool:
+    """True when the prune-free leaves of ``target`` are within the desk-scale limit."""
+    return assignment_count(seed_partial_table(target)) <= DESK_SCALE_LIMIT
+
+
+def _decimal(count: int) -> str:
+    """``count`` in decimal, or past 100 digits as a power of ten it exceeds.
+
+    The power is found without converting ``count`` to a string, which
+    Python refuses past 4300 digits.
+    """
+    if count < 10**100:
+        return str(count)
+    exponent = int(log10(count))
+    while 10**exponent >= count:
+        exponent -= 1
+    return f"more than 10^{exponent}"
+
+
 def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
     """Refuse a search of ``target`` whose prune-free leaves exceed the desk-scale limit."""
+    if allow_long_run or fits_budget(target):
+        return
     leaves = assignment_count(seed_partial_table(target))
-    if leaves > DESK_SCALE_LIMIT and not allow_long_run:
-        raise BudgetError(
-            f"{leaves} assignments for {target} exceeds the desk-scale limit "
-            f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
-        )
+    raise BudgetError(
+        f"{_decimal(leaves)} assignments for {target} exceeds the desk-scale limit "
+        f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
+    )
 
 
 def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:

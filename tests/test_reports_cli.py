@@ -120,6 +120,24 @@ def test_cli_count_kn_formula_at_large_n_exits_0(capsys):
     assert "formula   9119349471978984435494856" in out
 
 
+def test_cli_count_oracle_refusal_at_large_n_names_the_limit(capsys):
+    # the prune-free leaf count has over 4300 digits here
+    code = main(["count", "--graph", "kn1", "--n", "800", "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "desk-scale limit" in line
+
+
+def test_cli_count_refuses_n_above_the_size_limit(capsys):
+    code = main(["count", "--graph", "kn", "--n", "1000000000000", "--method", "formula"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: targets need n <= 4000\n"
+
+
 def test_cli_count_kn1_runs_the_self_generator_once(capsys, monkeypatch):
     calls = []
     original = counting.generate_pendant_square_self
@@ -340,6 +358,12 @@ def test_deeply_nested_cache_entry_is_a_miss(tmp_path, capsys):
                                        lambda text: "[" * 100000 + "]" * 100000)
 
 
+def test_list_shaped_cache_entry_is_a_miss(tmp_path, capsys):
+    # the entry format before the labelled total was recorded
+    _assert_unreadable_entry_is_a_miss(tmp_path, capsys,
+                                       lambda text: json.dumps(json.loads(text)["classes"]))
+
+
 def test_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys):
     entry = ResultsCache(tmp_path)._path("kn1", 3)
     entry.mkdir()  # the rename onto the entry path fails
@@ -377,9 +401,9 @@ def test_enumerate_refuses_unkeyable_size_before_work(tmp_path, capsys, monkeypa
 
 
 def _tamper(entry_path, edit):
-    classes = json.loads(entry_path.read_text())
-    edit(classes)
-    entry_path.write_text(json.dumps(classes, sort_keys=True))
+    entry = json.loads(entry_path.read_text())
+    edit(entry["classes"])
+    entry_path.write_text(json.dumps(entry, sort_keys=True))
 
 
 def _swap_two_key_digits(classes):
@@ -404,6 +428,15 @@ def _drop_every_class(classes):
     classes.clear()
 
 
+def _drop_last_class(classes):
+    # every remaining class is valid; only the labelled total gives it away
+    classes.pop()
+
+
+def _add_one_to_a_multiplicity(classes):
+    classes[0]["multiplicity"] += 1
+
+
 def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
@@ -423,7 +456,8 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell,
-                                  _repeat_first_class, _drop_every_class))
+                                  _repeat_first_class, _drop_every_class,
+                                  _drop_last_class, _add_one_to_a_multiplicity))
 def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
     _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit)
 
