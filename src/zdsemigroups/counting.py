@@ -278,7 +278,7 @@ def pendant_fixed_points(table: MulTable) -> int:
 # pendant case checks (on tables with the forced zero pattern)
 #
 # Each ``_*_holds`` body takes the pendant and neighbor from
-# ``pendant_conditions_hold``, which picks the body by the pendant's square.
+# ``pendant_case_holds``, which picks the body by the pendant's square.
 
 
 def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> bool:
@@ -371,14 +371,17 @@ _CASE_HOLDS = {
 }
 
 
-def pendant_conditions_hold(table: MulTable) -> bool:
-    """Run the matching case check, chosen by the pendant's square.
-
-    The graph is recognized once, for the case and the check together.
-    """
-    _, pendant, neighbor = _pendant_layout(table)
+def pendant_case_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
+    """Run the case check chosen by the pendant's square, for a table whose
+    graph is already known to be a clique plus ``pendant`` on ``neighbor``."""
     case = _square_case(table.entries, pendant, neighbor)
     return _CASE_HOLDS[case](table, pendant, neighbor)
+
+
+def pendant_conditions_hold(table: MulTable) -> bool:
+    """Recognize the graph once, then run ``pendant_case_holds`` on its layout."""
+    _, pendant, neighbor = _pendant_layout(table)
+    return pendant_case_holds(table, pendant, neighbor)
 
 
 # ---------------------------------------------------------------------------

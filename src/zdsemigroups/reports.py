@@ -40,7 +40,7 @@ from .counting import (
     iter_partitions_exact,
     pendant_case_breakdown,
     pendant_case_formula,
-    pendant_conditions_hold,
+    pendant_case_holds,
     pendant_fixed_points,
     pendant_square_case,
     pendant_total_formula,
@@ -49,6 +49,7 @@ from .errors import UsageError
 from .graphs import (
     CompleteK,
     CompletePlusEnd,
+    Recognition,
     TargetGraph,
     graph_to_dot,
     realizes,
@@ -67,8 +68,8 @@ from .tables import check_associativity, is_zd_semigroup, permute_table, table_t
 
 METHODS = ("formula", "generator", "oracle")
 # Targets above this n are refused before any work: on a 2-core VM the
-# kn formula takes about 2 s at n = 4000, and the refused oracle's seed
-# peaks at about 260 MB.
+# kn formula takes about 2 s at n = 4000.  The refused oracle builds no
+# seed grid there and exits in about 0.2 s at 17 MB peak RSS.
 MAX_N = 4000
 
 
@@ -551,11 +552,23 @@ def _verify_target(rows: list[VerifyRow], kind: str, n: int, allow_long_run: boo
 
 def _equivalence_counterexamples(n: int):
     """Tables over the forced pattern where associativity and the case
-    conditions disagree."""
-    spec = seed_partial_table(target_for("kn1", n))
+    conditions disagree, in candidate order.
+
+    This is ``[t for t in candidates if (check_associativity(t) is None)
+    != pendant_conditions_hold(t)]`` with the graph recognized once.
+    Every candidate completes the same seed and so has the same labelled
+    graph (see ``iter_candidate_tables``), so one recognition, of the
+    first candidate, gives every candidate's layout.  ``RuntimeError``
+    unless it is the clique on 1..n with the pendant m on the neighbor 1.
+    """
+    target = target_for("kn1", n)
+    m = target.element_count
+    spec = seed_partial_table(target)
+    if realizes(next(iter_candidate_tables(spec)), target) != Recognition(target, m, 1):
+        raise RuntimeError(f"the seed of {target} does not place the pendant at {m} on 1")
     return [
         table for table in iter_candidate_tables(spec)
-        if (check_associativity(table) is None) != pendant_conditions_hold(table)
+        if (check_associativity(table) is None) != pendant_case_holds(table, m, 1)
     ]
 
 

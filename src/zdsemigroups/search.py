@@ -71,17 +71,33 @@ class SearchSpec:
     template: tuple[tuple[int, ...], ...]
 
 
+def _free_cells(target: TargetGraph) -> tuple[tuple, tuple]:
+    """``(slots, domains)``: the free cells of ``target``'s seed and their values.
+
+    Complete graph on n vertices: the n diagonal cells, each free over
+    all m+1 values.
+
+    Complete graph plus pendant: additionally the cells (i, m) for
+    i >= 2, free over the *nonzero* values (a zero there would add an
+    edge).  Slot order is pendant square first, then the pendant
+    products ascending, then the diagonal ascending.
+    """
+    m = target.element_count
+    n = target.n
+    full_domain = tuple(range(m + 1))
+    diagonal = tuple((i, i) for i in range(1, n + 1))
+    if isinstance(target, CompleteK):
+        return diagonal, (full_domain,) * n
+    slots = ((m, m), *((i, m) for i in range(2, n + 1)), *diagonal)
+    return slots, (full_domain, *(full_domain[1:],) * (n - 1), *(full_domain,) * n)
+
+
 def seed_partial_table(target: TargetGraph) -> SearchSpec:
     """Forced constraints and free slots for a target graph.
 
-    Complete graph on n vertices: all off-diagonal products are forced
-    to 0, the n diagonal cells are free over all m+1 values.
-
-    Complete graph plus pendant: additionally the pendant (element m)
-    kills only element 1, so cell (1, m) is forced 0 and the cells
-    (i, m) for i >= 2 are free over the *nonzero* values (a zero there
-    would add an edge).  Slot order is pendant square first, then the
-    pendant products ascending, then the diagonal ascending.
+    Every off-diagonal product within the clique 1..n is forced to 0.
+    With a pendant (element m), the pendant kills only element 1, so
+    cell (1, m) is forced 0 too.  The free cells are ``_free_cells``.
     """
     m = target.element_count
     grid = [[UNSET] * (m + 1) for _ in range(m + 1)]
@@ -91,23 +107,9 @@ def seed_partial_table(target: TargetGraph) -> SearchSpec:
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             grid[u][v] = grid[v][u] = 0
-    full_domain = tuple(range(m + 1))
-    if isinstance(target, CompleteK):
-        slots = tuple((i, i) for i in range(1, n + 1))
-        domains = tuple(full_domain for _ in slots)
-    else:
+    if not isinstance(target, CompleteK):
         grid[1][m] = grid[m][1] = 0
-        slots = (
-            (m, m),
-            *((i, m) for i in range(2, n + 1)),
-            *((i, i) for i in range(1, n + 1)),
-        )
-        nonzero = tuple(range(1, m + 1))
-        domains = (
-            full_domain,
-            *(nonzero for _ in range(2, n + 1)),
-            *(full_domain for _ in range(1, n + 1)),
-        )
+    slots, domains = _free_cells(target)
     return SearchSpec(slots, domains, tuple(tuple(row) for row in grid))
 
 
@@ -126,9 +128,14 @@ def assignment_count(spec: SearchSpec) -> int:
     return prod(len(d) for d in spec.domains)
 
 
+def _prune_free_leaves(target: TargetGraph) -> int:
+    """``assignment_count`` of ``target``'s seed, from the domain sizes alone."""
+    return prod(map(len, _free_cells(target)[1]))
+
+
 def fits_budget(target: TargetGraph) -> bool:
     """True when the prune-free leaves of ``target`` are within the desk-scale limit."""
-    return assignment_count(seed_partial_table(target)) <= DESK_SCALE_LIMIT
+    return _prune_free_leaves(target) <= DESK_SCALE_LIMIT
 
 
 def _decimal(count: int) -> str:
@@ -149,7 +156,7 @@ def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
     """Refuse a search of ``target`` whose prune-free leaves exceed the desk-scale limit."""
     if allow_long_run or fits_budget(target):
         return
-    leaves = assignment_count(seed_partial_table(target))
+    leaves = _prune_free_leaves(target)
     raise BudgetError(
         f"{_decimal(leaves)} assignments for {target} exceeds the desk-scale limit "
         f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
@@ -157,7 +164,15 @@ def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
 
 
 def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:
-    """Every completion of the template, with no validity filtering."""
+    """Every completion of the template, with no validity filtering.
+
+    All completions share the seed's labelled zero-divisor graph: the
+    off-diagonal cells the seed forces to 0 are its edges, the free
+    off-diagonal cells range over nonzero values only and so are never
+    edges, and a free diagonal cell decides only a loop, which is not an
+    edge.  The tables are yielded in ``itertools.product`` order of the
+    domains.
+    """
     grid = [list(row) for row in spec.template]
     for values in itertools.product(*spec.domains):
         for (u, v), val in zip(spec.slots, values):

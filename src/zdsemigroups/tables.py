@@ -11,10 +11,14 @@ construction*; associativity is a separate property checked on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import UsageError
+
+# ``bool`` is refused too: a table entry is an element id, not a truth value.
+_INT_ONLY = frozenset({int})
 
 
 class AssocWitness(NamedTuple):
@@ -42,19 +46,22 @@ class MulTable:
         if size < 2:
             raise UsageError("table needs the zero element and at least one nonzero element")
         m = size - 1
-        for row in ent:
-            if len(row) != size:
-                raise UsageError("table grid must be square")
-            for val in row:
-                if not (0 <= val <= m):
-                    raise UsageError(f"entry {val} outside element range 0..{m}")
-        for u in range(size):
-            if ent[0][u] != 0 or ent[u][0] != 0:
-                raise UsageError("zero row/column must be identically zero")
-        for u in range(size):
-            for v in range(u + 1, size):
-                if ent[u][v] != ent[v][u]:
-                    raise UsageError(f"table is not symmetric at ({u}, {v})")
+        if set(map(len, ent)) != {size}:
+            raise UsageError("table grid must be square")
+        if not _INT_ONLY.issuperset(map(type, chain.from_iterable(ent))):
+            raise UsageError("table entries must be integers")
+        if not frozenset(range(size)).issuperset(chain.from_iterable(ent)):
+            val = next(v for v in chain.from_iterable(ent) if not 0 <= v <= m)
+            raise UsageError(f"entry {val} outside element range 0..{m}")
+        columns = tuple(zip(*ent))
+        if any(ent[0]) or any(columns[0]):
+            raise UsageError("zero row/column must be identically zero")
+        # A grid of lists never equals its tuple transpose, so rescan before refusing.
+        if ent != columns:
+            asymmetric = next(((u, v) for u in range(size) for v in range(u + 1, size)
+                               if ent[u][v] != ent[v][u]), None)
+            if asymmetric is not None:
+                raise UsageError(f"table is not symmetric at {asymmetric}")
 
     @property
     def m(self) -> int:
@@ -63,7 +70,8 @@ class MulTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "MulTable":
-        return cls(tuple(tuple(map(int, row)) for row in rows))
+        """Table from a grid of ints; any other entry, even ``1.0``, is refused."""
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def from_cells(cls, m: int, cells: Iterable[tuple[tuple[int, int], int]]) -> "MulTable":

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from pendant_reference import class_key, pendant_reference
-from zdsemigroups import counting, graphs
+from zdsemigroups import counting, graphs, reports
 from zdsemigroups.classify import ClassCatalog, canonical_form
 from zdsemigroups.counting import (
     TABULATED_COUNTS,
@@ -255,15 +255,28 @@ def test_check_zero_and_attach_cases():
     assert not pendant_conditions_hold(pendant_table("attach", 1, [1, 1], [0, 2, 0]))
 
 
+def _equivalence_by_definition(n):
+    """Candidates of the n pendant pattern where associativity and the conditions disagree."""
+    return [
+        t for t in iter_candidate_tables(seed_partial_table(CompletePlusEnd(n)))
+        if (check_associativity(t) is None) != pendant_conditions_hold(t)
+    ]
+
+
 def test_pendant_equivalence_exhaustive_n3():
-    # over the forced pendant pattern at n=3: associative iff conditions
-    spec = seed_partial_table(CompletePlusEnd(3))
-    mismatches = 0
-    for table in iter_candidate_tables(spec):
-        associative = check_associativity(table) is None
-        if associative != pendant_conditions_hold(table):
-            mismatches += 1
-    assert mismatches == 0
+    # over the forced pendant pattern at n=3: associative iff conditions;
+    # the verify row, which recognizes the graph once, agrees table for table
+    definition = _equivalence_by_definition(3)
+    assert definition == []
+    assert reports._equivalence_counterexamples(3) == definition
+
+
+def test_equivalence_row_equals_its_definition_under_a_wrong_check(monkeypatch):
+    holds = counting._CASE_HOLDS["self"]
+    monkeypatch.setitem(counting._CASE_HOLDS, "self", lambda *args: not holds(*args))
+    definition = _equivalence_by_definition(3)
+    assert definition
+    assert reports._equivalence_counterexamples(3) == definition
 
 
 def test_pendant_conditions_recognize_the_graph_once(monkeypatch):

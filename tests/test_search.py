@@ -8,7 +8,15 @@ from zdsemigroups import classify, search
 from zdsemigroups.classify import canonical_form
 from zdsemigroups.counting import clique_class_count
 from zdsemigroups.errors import BudgetError
-from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, realizes, recognize_target
+from zdsemigroups.cli import main
+from zdsemigroups.graphs import (
+    CompleteK,
+    CompletePlusEnd,
+    Recognition,
+    build_zd_graph,
+    realizes,
+    recognize_target,
+)
 from zdsemigroups.search import (
     DESK_SCALE_LIMIT,
     assignment_count,
@@ -189,6 +197,39 @@ def test_budget_refusal():
         enumerate_labeled(CompletePlusEnd(5))
     with pytest.raises(BudgetError):
         oracle_classes(CompletePlusEnd(5))
+
+
+def test_budget_gate_at_n4000_builds_no_seed(monkeypatch, capsys):
+    # the prune-free leaf count comes from the domain sizes alone
+    def refuse(target):
+        raise AssertionError("the budget gate built the seed grid")
+
+    monkeypatch.setattr(search, "seed_partial_table", refuse)
+    target = CompletePlusEnd(4000)
+    assert not search.fits_budget(target)
+    message = ("more than 10^28817 assignments for CompletePlusEnd(n=4000) exceeds the "
+               f"desk-scale limit ({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed")
+    with pytest.raises(BudgetError) as refusal:
+        search.check_budget(target, allow_long_run=False)
+    assert str(refusal.value) == message
+    assert main(["count", "--graph", "kn1", "--n", "4000", "--method", "oracle"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_budget_leaf_count_matches_the_seed():
+    for target in (CompleteK(1), CompleteK(4), CompletePlusEnd(3), CompletePlusEnd(5)):
+        assert search._prune_free_leaves(target) == assignment_count(seed_partial_table(target))
+
+
+@pytest.mark.parametrize("target, recognition", [
+    (CompleteK(3), Recognition(CompleteK(3), None, None)),
+    (CompletePlusEnd(3), Recognition(CompletePlusEnd(3), 4, 1)),
+])
+def test_every_candidate_has_the_seed_graph(target, recognition):
+    # what lets the n=3 equivalence row recognize its graph once
+    candidates = list(iter_candidate_tables(seed_partial_table(target)))
+    assert len(candidates) == assignment_count(seed_partial_table(target))
+    assert {realizes(t, target) for t in candidates} == {recognition}
 
 
 def test_budget_allows_pendant_4():

@@ -138,6 +138,40 @@ def test_validation_rejects_bad_grids():
         MulTable.from_rows([[0, 0, 0], [0, 0, 1], [0, 2, 0]])  # asymmetric
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0]], "table needs the zero element and at least one nonzero element"),
+    ([[0, 0], [0]], "table grid must be square"),
+    ([[0, 0, 0], [0, 0], [0, 0, 0]], "table grid must be square"),
+    ([[0, 0], [0, 5]], "entry 5 outside element range 0..1"),
+    ([[0, 0], [0, -1]], "entry -1 outside element range 0..1"),
+    ([[0, 1], [0, 0]], "zero row/column must be identically zero"),
+    ([[0, 0], [1, 1]], "zero row/column must be identically zero"),
+    ([[0, 0, 0], [0, 0, 1], [0, 2, 0]], "table is not symmetric at (1, 2)"),
+    ([[0, 0, 0], [0, 1, 2], [0, 1, 2]], "table is not symmetric at (1, 2)"),
+])
+def test_from_rows_rejects_each_invalid_grid_with_its_message(rows, message):
+    with pytest.raises(UsageError) as error:
+        MulTable.from_rows(rows)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, "1", None, True])
+def test_from_rows_refuses_an_entry_that_is_not_an_int(entry):
+    # from_rows once coerced entries with int(); now they must already be ints
+    with pytest.raises(UsageError, match="table entries must be integers"):
+        MulTable.from_rows([[0, 0], [0, entry]])
+
+
+def test_from_rows_stores_a_tuple_grid():
+    t = MulTable.from_rows([[0, 0], [0, 1]])
+    assert t.entries == ((0, 0), (0, 1))
+    assert all(type(row) is tuple for row in t.entries)
+    # a list grid passed to the constructor directly is still checked
+    assert MulTable([[0, 0, 0], [0, 0, 1], [0, 1, 0]]).m == 2
+    with pytest.raises(UsageError, match=r"not symmetric at \(1, 2\)"):
+        MulTable([[0, 0, 0], [0, 0, 1], [0, 2, 0]])
+
+
 def test_from_cells_mirrors_listed_products():
     t = MulTable.from_cells(3, [((1, 3), 2), ((2, 2), 1), ((3, 3), 3)])
     assert t.entries == ((0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 0), (0, 2, 0, 3))
