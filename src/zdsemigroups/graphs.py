@@ -12,10 +12,28 @@ vertex attached to a single clique vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations, compress
+from operator import not_
 from typing import NamedTuple, Optional, Union
 
 from .errors import UsageError
-from .tables import MulTable
+from .tables import MAX_ELEMENTS, MulTable
+
+
+@lru_cache(maxsize=None)
+def _vertex_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], frozenset[tuple[int, int]]]:
+    """The pairs (u, v), 1 <= u < v <= n, in lexicographic order and as a set."""
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    return pairs, frozenset(pairs)
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Positions of the cells (u, v), 1 <= u < v <= m, in the flattened
+    (m+1) x (m+1) grid, and those pairs, in the same order."""
+    pairs = _vertex_pairs(m)[0]
+    return tuple(u * (m + 1) + v for u, v in pairs), pairs
 
 
 @dataclass(frozen=True)
@@ -24,9 +42,14 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        # Graphs of tables are checked against a cached set of the allowed
+        # pairs; larger graphs (targets only) and refusals take the loop.
+        n = self.vertex_count
+        if n <= MAX_ELEMENTS and _vertex_pairs(n)[1].issuperset(self.edges):
+            return
         for u, v in self.edges:
-            if not (1 <= u < v <= self.vertex_count):
-                raise UsageError(f"edge ({u}, {v}) outside 1..{self.vertex_count} or not ordered")
+            if not (1 <= u < v <= n):
+                raise UsageError(f"edge ({u}, {v}) outside 1..{n} or not ordered")
 
 
 @dataclass(frozen=True)
@@ -73,16 +96,15 @@ class Recognition(NamedTuple):
 
 
 def build_zd_graph(table: MulTable) -> SimpleGraph:
-    """Graph on {1..m} with an edge {u, v} whenever u != v and uv = 0."""
-    ent = table.entries
+    """Graph on {1..m} with an edge {u, v} whenever u != v and uv = 0.
+
+    The upper-triangle products are read from the flattened grid at
+    positions cached per m, and the pairs whose product is 0 kept.
+    """
     m = table.m
-    edges = frozenset(
-        (u, v)
-        for u in range(1, m + 1)
-        for v in range(u + 1, m + 1)
-        if ent[u][v] == 0
-    )
-    return SimpleGraph(m, edges)
+    positions, pairs = _upper_triangle(m)
+    flat = list(chain.from_iterable(table.entries))
+    return SimpleGraph(m, frozenset(compress(pairs, map(not_, map(flat.__getitem__, positions)))))
 
 
 def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
@@ -100,11 +122,13 @@ def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
     edges = graph.edges
     if len(edges) == nv * (nv - 1) // 2:
         return Recognition(CompleteK(nv), None, None)
+    if len(edges) != (nv - 1) * (nv - 2) // 2 + 1:
+        return None
     degree = [0] * (nv + 1)
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-    if len(edges) != (nv - 1) * (nv - 2) // 2 + 1 or 1 not in degree:
+    if 1 not in degree:
         return None
     p = degree.index(1)
     neighbor = next(v if u == p else u for u, v in edges if p in (u, v))

@@ -594,6 +594,8 @@ def run_verification(lo: int, hi: int, *, allow_long_run: bool = False,
     """
     if lo < 1 or hi < lo:
         raise UsageError("range must satisfy 1 <= lo <= hi")
+    if hi > MAX_N:
+        raise UsageError(f"targets need n <= {MAX_N}")
     rows: list[VerifyRow] = []
 
     sample_ok = all(

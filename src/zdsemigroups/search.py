@@ -13,7 +13,13 @@ construction.
 For a commutative table the associative law for every ordered triple is
 equivalent to, for each multiset {u, v, w}, the three products
 (uv)w, (vw)u, (uw)v agreeing; the pruner compares whichever of the
-three are already determined.
+three are already determined.  On a multiset {u, u, w} the second and
+third pairings are the same product (uw)u, so two determined values
+there disagree exactly when (uu)w and (uw)u are both determined and
+differ.  A diagonal slot (u, u) therefore checks its direct multisets
+{u, u, w} by comparing those two products only, and skips {u, u, u},
+whose three pairings are all (uu)u; it prunes what the three-way
+comparison would.
 
 The pruning is incremental.  Evaluating a multiset reads the cells of
 its pairs and then, for each pair product p, the cell (p, third
@@ -197,6 +203,24 @@ def _partial_violation(g: list[list[int]], triples) -> bool:
     return False
 
 
+def _diagonal_violation(g: list[list[int]], u: int, others) -> bool:
+    """Do (uu)w and (uw)u disagree for some w in ``others``, both determined?
+
+    Cell (u, u) is set, so uu is known.  (uw)u is both the second and
+    the third pairing of the multiset {u, u, w}.
+    """
+    row_u = g[u]
+    row_uu = g[row_u[u]]
+    for w in others:
+        a = row_uu[w]
+        q = row_u[w]
+        if a >= 0 and q >= 0:
+            b = g[q][u]
+            if b >= 0 and a != b:
+                return True
+    return False
+
+
 def enumerate_labeled(
     target: TargetGraph,
     visitor: Optional[Callable[[MulTable], None]] = None,
@@ -216,7 +240,10 @@ def enumerate_labeled(
     domains = spec.domains
     depth_max = len(slots)
     # Triples that read a slot's cell (u, v) directly: {u, v, w} for every w.
-    direct = [tuple((u, v, w) for w in range(1, m + 1)) for u, v in slots]
+    # A diagonal slot lists only the w != u of its {u, u, w}, for
+    # ``_diagonal_violation``; {u, u, u} has a single product.
+    direct = [tuple((u, v, w) for w in range(1, m + 1)) if u != v
+              else tuple(w for w in range(1, m + 1) if w != u) for u, v in slots]
     # readers[p]: the assigned slot cells whose value is p.
     readers: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
     accepted = 0
@@ -235,12 +262,17 @@ def enumerate_labeled(
         row_v = grid[v]
         # A cell (a, b) whose value is u reads (u, v) in {a, b, v}, and
         # one whose value is v reads it in {a, b, u}.
-        triples = direct[depth] + tuple((a, b, v) for a, b in readers[u])
-        if u != v:
-            triples += tuple((a, b, u) for a, b in readers[v])
+        triples = tuple((a, b, v) for a, b in readers[u])
+        if u == v:
+            diagonal = direct[depth]
+        else:
+            diagonal = ()
+            triples = direct[depth] + triples + tuple((a, b, u) for a, b in readers[v])
         for val in domains[depth]:
             row_u[v] = val
             row_v[u] = val
+            if diagonal and _diagonal_violation(grid, u, diagonal):
+                continue
             if not _partial_violation(grid, triples):
                 reading = readers[val]
                 reading.append((u, v))

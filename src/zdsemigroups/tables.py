@@ -6,11 +6,13 @@ elements.  The full (m+1) x (m+1) grid is stored, so lookups are plain
 indexing.  Symmetry and the zero row/column are enforced at construction,
 which makes every ``MulTable`` commutative with absorbing zero *by
 construction*; associativity is a separate property checked on demand.
+A table has at most 255 nonzero elements, so every entry fits in a byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -19,6 +21,15 @@ from .errors import UsageError
 
 # ``bool`` is refused too: a table entry is an element id, not a truth value.
 _INT_ONLY = frozenset({int})
+
+# Entries are stored and compared as bytes, so an element id is at most 255.
+MAX_ELEMENTS = 255
+
+
+@lru_cache(maxsize=None)
+def _element_range(size: int) -> frozenset[int]:
+    """The element ids 0..size-1 of a table with ``size`` rows."""
+    return frozenset(range(size))
 
 
 class AssocWitness(NamedTuple):
@@ -46,11 +57,13 @@ class MulTable:
         if size < 2:
             raise UsageError("table needs the zero element and at least one nonzero element")
         m = size - 1
+        if m > MAX_ELEMENTS:
+            raise UsageError(f"table has {m} nonzero elements; at most {MAX_ELEMENTS} are supported")
         if set(map(len, ent)) != {size}:
             raise UsageError("table grid must be square")
         if not _INT_ONLY.issuperset(map(type, chain.from_iterable(ent))):
             raise UsageError("table entries must be integers")
-        if not frozenset(range(size)).issuperset(chain.from_iterable(ent)):
+        if not _element_range(size).issuperset(chain.from_iterable(ent)):
             val = next(v for v in chain.from_iterable(ent) if not 0 <= v <= m)
             raise UsageError(f"entry {val} outside element range 0..{m}")
         columns = tuple(zip(*ent))
@@ -95,27 +108,33 @@ def check_associativity(table: MulTable) -> Optional[AssocWitness]:
     """Check all nonzero triples (u, v, w) in lexicographic order.
 
     Returns ``None`` when (uv)w = u(vw) for every triple, otherwise the
-    first failing witness.  Triples involving 0 hold trivially and are
-    skipped.  Each pair (u, v) compares the whole row of (uv)w with that
-    of u(vw) at once, and only a pair whose rows differ is scanned over
-    w for the witness.
+    first failing witness.  Triples involving 0 hold trivially (both
+    sides are 0).
+
+    Each element u is decided in one step over every pair (v, w), with
+    the rows as bytes and the grid as their v-major concatenation.
+    u(vw) is the grid renamed by row u (``bytes.translate`` maps each
+    product vw to u(vw)), and (uv)w is the rows of the products uv,
+    v = 0..m, joined; the two agree exactly when u satisfies the law
+    with every v and w.  Only the first u where they differ is scanned:
+    its rows are compared one v at a time, again by renaming, then the
+    first differing row over w, so the witness is the lex-first triple.
     """
-    ent = table.entries
-    m = table.m
-    # gather[v](row_u) is the row of u(vw) over every w, zero column included.
-    gather = [itemgetter(*row) for row in ent]
-    for u in range(1, m + 1):
-        row_u = ent[u]
-        for v in range(1, m + 1):
-            uv_row = ent[row_u[v]]
-            if uv_row == gather[v](row_u):
-                continue
-            row_v = ent[v]
-            for w in range(1, m + 1):
-                lhs = uv_row[w]
-                rhs = row_u[row_v[w]]
-                if lhs != rhs:
-                    return AssocWitness(u, v, w, lhs, rhs)
+    rows = list(map(bytes, table.entries))
+    grid = b"".join(rows)
+    elements = range(1, len(rows))
+    for u in elements:
+        row_u = rows[u]
+        rename = row_u.ljust(256, b"\0")
+        if b"".join(itemgetter(*row_u)(rows)) == grid.translate(rename):
+            continue
+        for v in elements:
+            lhs_row = rows[row_u[v]]
+            rhs_row = rows[v].translate(rename)
+            if lhs_row != rhs_row:
+                for w in elements:
+                    if lhs_row[w] != rhs_row[w]:
+                        return AssocWitness(u, v, w, lhs_row[w], rhs_row[w])
     return None
 
 

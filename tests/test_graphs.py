@@ -50,6 +50,21 @@ def test_target_invariants():
     assert CompletePlusEnd(3).element_count == 4
 
 
+@pytest.mark.parametrize("n, edge", [
+    (3, (0, 1)), (3, (2, 1)), (3, (2, 2)), (3, (1, 4)), (0, (1, 2)),
+    (300, (299, 301)),  # above the largest table, where no allowed-pair set is kept
+])
+def test_simple_graph_refuses_each_bad_edge_with_its_message(n, edge):
+    with pytest.raises(UsageError) as error:
+        SimpleGraph(n, frozenset([edge]))
+    assert str(error.value) == f"edge {edge} outside 1..{n} or not ordered"
+
+
+def test_simple_graph_accepts_ordered_edges_at_any_size():
+    assert SimpleGraph(300, frozenset([(1, 300), (299, 300)])).vertex_count == 300
+    assert SimpleGraph(3, frozenset()).edges == frozenset()
+
+
 def test_build_zd_graph_triangle():
     t = MulTable.from_rows(
         [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]

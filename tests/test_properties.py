@@ -1,4 +1,5 @@
-"""Property tests: canonical keys, the associativity check and table JSON.
+"""Property tests: canonical keys, the associativity check, the zero-divisor
+graph and table JSON.
 
 Hypothesis draws the tables.  The settings are fixed (derandomized, no
 example database), so every run checks the same examples.
@@ -13,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zdsemigroups.classify import canonical_form  # noqa: E402
+from zdsemigroups.graphs import build_zd_graph  # noqa: E402
 from zdsemigroups.tables import (  # noqa: E402
     MulTable,
     check_associativity,
@@ -57,11 +59,27 @@ def test_canonical_key_is_invariant_under_relabeling(pair):
     assert canonical_form(image) == canonical_form(table)
 
 
-@FIXED
-@given(tables())
-def test_associativity_check_matches_all_triples(table):
+@st.composite
+def null_prefix_tables(draw, max_m=9):
+    """Symmetric tables on 1..m whose elements 1..k multiply everything to 0.
+
+    The rows of 1..k (k >= 1) pass the associative law, so a failing
+    table fails first at some u > k.  The other products lie in
+    {0, k+1, ..., m}, where about half the tables fail.
+    """
+    m = draw(st.integers(2, max_m))
+    k = draw(st.integers(1, m - 1))
+    palette = draw(st.lists(st.integers(k + 1, m), min_size=1, max_size=3))
+    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    for u in range(k + 1, m + 1):
+        for v in range(u, m + 1):
+            grid[u][v] = grid[v][u] = draw(st.sampled_from([0, *palette]))
+    return MulTable.from_rows(grid)
+
+
+def first_failing_triple(table):
     ent = table.entries
-    first_failure = next(
+    return next(
         (
             (u, v, w, ent[ent[u][v]][w], ent[u][ent[v][w]])
             for u, v, w in itertools.product(range(table.m + 1), repeat=3)
@@ -69,7 +87,28 @@ def test_associativity_check_matches_all_triples(table):
         ),
         None,
     )
-    assert check_associativity(table) == first_failure
+
+
+@FIXED
+@given(tables())
+def test_associativity_check_matches_all_triples(table):
+    assert check_associativity(table) == first_failing_triple(table)
+
+
+@FIXED
+@given(null_prefix_tables())
+def test_associativity_witness_after_passing_rows_matches_all_triples(table):
+    assert check_associativity(table) == first_failing_triple(table)
+
+
+@FIXED
+@given(tables())
+def test_zd_graph_edges_are_the_zero_products_above_the_diagonal(table):
+    ent = table.entries
+    elements = range(1, table.m + 1)
+    assert build_zd_graph(table).edges == {
+        (u, v) for u in elements for v in elements if u < v and ent[u][v] == 0
+    }
 
 
 @FIXED

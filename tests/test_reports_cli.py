@@ -305,6 +305,15 @@ def test_cli_verify_malformed_range_exits_2(text):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("text", ["99999999999999999999", "4001", "3..4001"])
+def test_cli_verify_refuses_n_above_the_size_limit(capsys, text):
+    code = main(["verify", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: targets need n <= 4000\n"
+
+
 def test_verify_boundary_findings():
     rows, code = run_verification(1, 2)
     assert code == 0

@@ -155,6 +155,24 @@ def test_from_rows_rejects_each_invalid_grid_with_its_message(rows, message):
     assert str(error.value) == message
 
 
+def test_table_size_is_capped_at_255_nonzero_elements():
+    with pytest.raises(UsageError) as error:
+        MulTable.from_cells(256, [])
+    assert str(error.value) == "table has 256 nonzero elements; at most 255 are supported"
+    null = MulTable.from_cells(255, [])
+    assert null.m == 255
+    assert check_associativity(null) is None
+    # the largest element id, 255, as an idempotent beside 254 null elements
+    assert check_associativity(MulTable.from_cells(255, [((255, 255), 255)])) is None
+
+
+def test_associativity_witness_after_passing_element_rows():
+    # Elements 1..3 annihilate everything, so their rows pass; 4 * 4 = 5
+    # and 5 * 5 = 4 fail first at (4, 4, 5): (4 * 4) * 5 = 4, 4 * (4 * 5) = 0.
+    table = MulTable.from_cells(5, [((4, 4), 5), ((5, 5), 4)])
+    assert check_associativity(table) == AssocWitness(4, 4, 5, 4, 0)
+
+
 @pytest.mark.parametrize("entry", [1.5, 1.0, "1", None, True])
 def test_from_rows_refuses_an_entry_that_is_not_an_int(entry):
     # from_rows once coerced entries with int(); now they must already be ints
