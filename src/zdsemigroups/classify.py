@@ -47,7 +47,6 @@ orbit, and keys those tables by lookup.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations_with_replacement
 from operator import itemgetter
@@ -217,20 +216,28 @@ class ClassEntry(NamedTuple):
         return table_from_key(self.key)
 
 
-@dataclass(repr=False)
 class ClassCatalog:
     """Isomorphism classes as a map from canonical key to multiplicity.
 
     A class is its key: its representative is the canonical table that
     ``table_from_key`` rebuilds from the key, so it is never stored.
     Multiplicities count the labelled tables inserted, so the catalog
-    doubles as an orbit-size bookkeeper.
+    doubles as an orbit-size bookkeeper.  Two catalogs are equal when
+    they hold the same keys with the same multiplicities.
     """
 
-    _multiplicity: Counter = field(default_factory=Counter)
+    __slots__ = ("_multiplicity",)
+
+    def __init__(self) -> None:
+        self._multiplicity: Counter = Counter()
 
     def __repr__(self) -> str:
         return f"ClassCatalog(classes={self.class_count}, labeled={self.labeled_count})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._multiplicity == other._multiplicity
 
     def insert(self, table: MulTable, key: Optional[CanonicalKey] = None) -> bool:
         """Insert one labelled table; True when a new class was created."""
@@ -347,8 +354,7 @@ class OrbitKeyer:
             )
 
 
-@dataclass(frozen=True)
-class SquareProfile:
+class SquareProfile(NamedTuple):
     """Square structure of a table whose graph is a complete graph.
 
     The nonzero elements split into nilpotents (square 0), idempotents

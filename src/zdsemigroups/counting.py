@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import UsageError
@@ -96,8 +95,7 @@ def historical_pendant_total(n: int, self_count: int) -> int:
     return self_count + 4 * n - 3
 
 
-@dataclass(frozen=True)
-class StratumRule:
+class StratumRule(NamedTuple):
     """A stated closed count for one fixed-point stratum of the x*x = x case."""
 
     label: str
@@ -454,8 +452,7 @@ def generate_pendant_square_other(n: int) -> ClassCatalog:
     return catalog
 
 
-@dataclass(frozen=True)
-class PendantSelfResult:
+class PendantSelfResult(NamedTuple):
     """Classes of the x*x = x case plus their fixed-point stratification."""
 
     catalog: ClassCatalog
@@ -536,8 +533,7 @@ def generate_pendant_square_self(n: int) -> PendantSelfResult:
 PENDANT_CASES = ("zero", "self", "attach", "other")
 
 
-@dataclass(frozen=True)
-class PendantBreakdown:
+class PendantBreakdown(NamedTuple):
     """Per-case catalogs for one pendant target."""
 
     catalogs: dict[str, ClassCatalog]

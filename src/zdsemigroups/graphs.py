@@ -11,14 +11,13 @@ vertex attached to a single clique vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import not_
 from typing import NamedTuple, Optional, Union
 
 from .errors import UsageError
-from .tables import MAX_ELEMENTS, MulTable
+from .tables import MAX_ELEMENTS, MulTable, read_only
 
 
 @lru_cache(maxsize=None)
@@ -36,50 +35,89 @@ def _upper_triangle(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...
     return tuple(u * (m + 1) + v for u, v in pairs), pairs
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
+    __slots__ = ("vertex_count", "edges")
     vertex_count: int
     edges: frozenset[tuple[int, int]]
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, edges: frozenset[tuple[int, int]]):
         # Graphs of tables are checked against a cached set of the allowed
         # pairs; larger graphs (targets only) and refusals take the loop.
-        n = self.vertex_count
-        if n <= MAX_ELEMENTS and _vertex_pairs(n)[1].issuperset(self.edges):
-            return
-        for u, v in self.edges:
-            if not (1 <= u < v <= n):
-                raise UsageError(f"edge ({u}, {v}) outside 1..{n} or not ordered")
+        n = vertex_count
+        if not (n <= MAX_ELEMENTS and _vertex_pairs(n)[1].issuperset(edges)):
+            for u, v in edges:
+                if not (1 <= u < v <= n):
+                    raise UsageError(f"edge ({u}, {v}) outside 1..{n} or not ordered")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __reduce__(self):
+        return type(self), (self.vertex_count, self.edges)
 
 
-@dataclass(frozen=True)
-class CompleteK:
+class _Target:
+    """A target graph, given by its clique size ``n``.  Targets of the two
+    families are never equal, so ``CompleteK(3) != CompletePlusEnd(3)``."""
+
+    __slots__ = ("n",)
+    n: int
+    __setattr__ = __delattr__ = read_only
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash(self.n)
+
+    def __reduce__(self):
+        return type(self), (self.n,)
+
+
+class CompleteK(_Target):
     """Complete graph on n >= 1 vertices."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise UsageError("complete graph needs n >= 1")
+        object.__setattr__(self, "n", n)
 
     @property
     def element_count(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
-class CompletePlusEnd:
+class CompletePlusEnd(_Target):
     """Complete graph on n >= 2 vertices plus one pendant vertex.
 
     The pendant is attached to exactly one clique vertex; in tables the
     pendant is element n+1 and its neighbor is element 1.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise UsageError("a pendant needs a clique of size >= 2")
+        object.__setattr__(self, "n", n)
 
     @property
     def element_count(self) -> int:

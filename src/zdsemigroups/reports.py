@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -185,19 +184,17 @@ def oracle_catalog(kind: str, n: int, *, allow_long_run: bool = False,
     return catalog
 
 
-@dataclass
-class Discrepancy:
+class Discrepancy(NamedTuple):
     description: str
     reference_value: Optional[int]
     computed_value: Optional[int]
-    witnesses: list[dict] = field(default_factory=list)
+    witnesses: list[dict]
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class CountReport:
+class CountReport(NamedTuple):
     kind: str
     n: int
     method_counts: dict[str, Optional[int]]
@@ -512,8 +509,7 @@ def write_catalog(kind: str, n: int, catalog: ClassCatalog, path, fmt: str) -> N
 # verification matrix
 
 
-@dataclass
-class VerifyRow:
+class VerifyRow(NamedTuple):
     status: str  # PASS | FAIL | FINDING | SKIP
     label: str
     detail: str

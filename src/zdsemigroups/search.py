@@ -52,9 +52,8 @@ subgroup, which keys every table by ``canonical_form``.)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import log10, prod
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import BudgetError
@@ -68,8 +67,7 @@ DESK_SCALE_LIMIT = 5_000_000
 UNSET = -1
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(NamedTuple):
     """Free cells, their value domains, and the forced partial table."""
 
     slots: tuple[tuple[int, int], ...]

@@ -11,7 +11,6 @@ A table has at most 255 nonzero elements, so every entry fits in a byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -45,14 +44,20 @@ class AssocWitness(NamedTuple):
     rhs: int
 
 
-@dataclass(frozen=True)
+def read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a class whose fields are set once."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class MulTable:
     """Immutable symmetric multiplication table with absorbing zero."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        ent = self.entries
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        ent = entries
         size = len(ent)
         if size < 2:
             raise UsageError("table needs the zero element and at least one nonzero element")
@@ -75,6 +80,21 @@ class MulTable:
                                if ent[u][v] != ent[v][u]), None)
             if asymmetric is not None:
                 raise UsageError(f"table is not symmetric at {asymmetric}")
+        object.__setattr__(self, "entries", entries)
+
+    def __repr__(self) -> str:
+        return f"MulTable(entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @property
     def m(self) -> int:

@@ -188,6 +188,20 @@ def test_catalog_json_round_trip():
     back = ClassCatalog.from_json_obj(obj)
     assert back.keys() == catalog.keys()
     assert back.labeled_count == catalog.labeled_count
+    assert back == catalog
+
+
+def test_catalogs_are_equal_when_their_multiplicities_are():
+    a, b = ClassCatalog(), ClassCatalog()
+    t, u = clique_table([0, 0]), clique_table([0, 2])
+    for table in (t, u, t):
+        a.insert(table)
+    for table in (u, t):
+        b.insert(table)
+    assert a != b  # the same classes, one multiplicity differs
+    b.insert(t)
+    assert a == b
+    assert a != a._multiplicity
 
 
 def test_square_profile_examples():

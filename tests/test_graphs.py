@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -48,6 +49,43 @@ def test_target_invariants():
         CompletePlusEnd(1)
     assert CompleteK(1).element_count == 1
     assert CompletePlusEnd(3).element_count == 4
+
+
+def test_targets_are_equal_only_within_one_family():
+    assert CompleteK(3) == CompleteK(3)
+    assert CompleteK(3) != CompletePlusEnd(3)
+    assert CompleteK(3) != CompleteK(4)
+    names = {CompleteK(3): "kn", CompletePlusEnd(3): "kn1"}
+    assert names[CompleteK(3)] == "kn" and names[CompletePlusEnd(3)] == "kn1"
+    assert repr(CompleteK(3)) == "CompleteK(n=3)"
+    assert repr(CompletePlusEnd(5)) == "CompletePlusEnd(n=5)"
+
+
+@pytest.mark.parametrize("value, field", [
+    (MulTable.from_rows([[0, 0], [0, 0]]), "entries"),
+    (CompleteK(3), "n"),
+    (CompletePlusEnd(3), "n"),
+    (SimpleGraph(2, frozenset([(1, 2)])), "edges"),
+])
+def test_value_fields_are_read_only_and_survive_pickling(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value and hash(back) == hash(value)
+
+
+@pytest.mark.parametrize("value, fields", [
+    (MulTable.from_rows([[0, 0], [0, 0]]), ((0, 0), (0, 0))),
+    (SimpleGraph(2, frozenset([(1, 2)])), (2, frozenset([(1, 2)]))),
+])
+def test_tables_and_graphs_never_equal_a_bare_tuple(value, fields):
+    # A NamedTuple would equal the tuple of its fields.
+    assert value != fields and fields != value
+    assert value != (fields,)
 
 
 @pytest.mark.parametrize("n, edge", [

@@ -296,6 +296,20 @@ def test_cli_interrupt_exits_130_without_traceback(command, argv):
     assert "Traceback" not in result.stderr
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every zdsg command pays the import; these two cost more than the
+    # rest of the package.  Only modules the import adds are counted, so
+    # a site hook that loads them first cannot fail the test.
+    result = run_python("-c", (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import zdsemigroups.cli\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
 @pytest.mark.parametrize("text", ["a..b", "3..", "..4", "3..x", "x", ""])
 def test_cli_verify_malformed_range_exits_2(text):
     result = run_zdsg("verify", text)

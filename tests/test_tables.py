@@ -184,6 +184,7 @@ def test_from_rows_stores_a_tuple_grid():
     t = MulTable.from_rows([[0, 0], [0, 1]])
     assert t.entries == ((0, 0), (0, 1))
     assert all(type(row) is tuple for row in t.entries)
+    assert repr(t) == "MulTable(entries=((0, 0), (0, 1)))"
     # a list grid passed to the constructor directly is still checked
     assert MulTable([[0, 0, 0], [0, 0, 1], [0, 1, 0]]).m == 2
     with pytest.raises(UsageError, match=r"not symmetric at \(1, 2\)"):
