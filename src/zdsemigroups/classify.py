@@ -288,7 +288,7 @@ class ClassCatalog:
             if type(multiplicity) is not int or multiplicity < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
             if table_from_json(item["table"]) != table_from_key(key):
-                raise ValueError(f"class {key_to_hex(key)} does not reproduce its key")
+                raise ValueError(f"class {key_to_hex(key)} stores a table other than its key's")
             catalog._multiplicity[key] = multiplicity
         return catalog
 

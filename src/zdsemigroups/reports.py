@@ -48,7 +48,6 @@ from .errors import UsageError
 from .graphs import (
     CompleteK,
     CompletePlusEnd,
-    Recognition,
     TargetGraph,
     graph_to_dot,
     realizes,
@@ -554,17 +553,18 @@ def _equivalence_counterexamples(n: int):
     != pendant_conditions_hold(t)]`` with the graph recognized once.
     Every candidate completes the same seed and so has the same labelled
     graph (see ``iter_candidate_tables``), so one recognition, of the
-    first candidate, gives every candidate's layout.  ``RuntimeError``
-    unless it is the clique on 1..n with the pendant m on the neighbor 1.
+    first candidate, gives every candidate's pendant and neighbor.
+    ``RuntimeError`` if that candidate does not realize the target.
     """
     target = target_for("kn1", n)
-    m = target.element_count
     spec = seed_partial_table(target)
-    if realizes(next(iter_candidate_tables(spec)), target) != Recognition(target, m, 1):
-        raise RuntimeError(f"the seed of {target} does not place the pendant at {m} on 1")
+    recognition = realizes(next(iter_candidate_tables(spec)), target)
+    if recognition is None:
+        raise RuntimeError(f"the seed of {target} does not realize it")
+    pendant, neighbor = recognition.pendant, recognition.neighbor
     return [
         table for table in iter_candidate_tables(spec)
-        if (check_associativity(table) is None) != pendant_case_holds(table, m, 1)
+        if (check_associativity(table) is None) != pendant_case_holds(table, pendant, neighbor)
     ]
 
 

@@ -1,14 +1,15 @@
 """Brute-force enumeration of labelled tables realizing a target graph.
 
 The search space is seeded from the graph alone: edges force products to
-zero, non-edges forbid them, and everything else is free.  A depth-first
-scan assigns the free cells in a fixed order, pruning a branch as soon
-as some fully determined triple breaks the associative law.  Completed
-tables are re-validated from scratch: ``is_zd_semigroup`` checks
-associativity and zero-divisor membership, and ``graphs.realizes``, the
-graph check every generated table also passes, checks the exact graph.
-So the pruning is an optimization only and nothing is trusted by
-construction.
+zero, non-edges forbid them, and squares are free.  So the seed is its
+free cells (slots) and their value domains, and every other cell is 0.
+A depth-first scan assigns the free cells in a fixed order, pruning a
+branch as soon as some fully determined triple breaks the associative
+law.  Completed tables are re-validated from scratch: ``is_zd_semigroup``
+checks associativity and zero-divisor membership, and
+``graphs.realizes``, the graph check every generated table also passes,
+checks the exact graph.  So the pruning is an optimization only and
+nothing is trusted by construction.
 
 For a commutative table the associative law for every ordered triple is
 equivalent to, for each multiset {u, v, w}, the three products
@@ -27,12 +28,13 @@ element).  So cell (u, v) is read by {u, v, w} for every w, by
 {a, b, v} for every cell (a, b) whose value is u, and by {a, b, u} for
 every cell whose value is v.  After setting (u, v) the search rechecks
 just those multisets, finding the last two kinds through ``readers``,
-the assigned free cells listed by value.  Forced cells hold 0, and a
-product 0 reads only the zero row, so forced cells never read a free
-cell and ``readers`` leaves them out.  This prunes exactly the nodes a
-rescan of every multiset would: the forced template violates nothing,
-every node was checked before the search descended from it, and a
-multiset's three products change only through a cell they read.
+the assigned free cells listed by value.  The other cells hold 0, and a
+product 0 reads only the zero row, so they never read a free cell and
+``readers`` leaves them out.  This prunes exactly the nodes a rescan of
+every multiset would: at the root every determined product is 0, so the
+seed violates nothing, every node was checked before the search
+descended from it, and a multiset's three products change only through
+a cell they read.
 
 Classification uses the target's own automorphisms.  Two accepted tables
 realize the same labelled graph G, so an isomorphism between them is an
@@ -68,53 +70,47 @@ UNSET = -1
 
 
 class SearchSpec(NamedTuple):
-    """Free cells, their value domains, and the forced partial table."""
+    """Free cells and their value domains; every other cell is 0."""
 
     slots: tuple[tuple[int, int], ...]
     domains: tuple[tuple[int, ...], ...]
-    template: tuple[tuple[int, ...], ...]
 
 
-def _free_cells(target: TargetGraph) -> tuple[tuple, tuple]:
-    """``(slots, domains)``: the free cells of ``target``'s seed and their values.
+def seed_partial_table(target: TargetGraph) -> SearchSpec:
+    """The free cells of ``target``'s seed and their values.
+
+    Every off-diagonal cell that is not a slot is an edge of the target,
+    so it holds 0; the grid is built only by ``_seed_grid``.
 
     Complete graph on n vertices: the n diagonal cells, each free over
     all m+1 values.
 
     Complete graph plus pendant: additionally the cells (i, m) for
     i >= 2, free over the *nonzero* values (a zero there would add an
-    edge).  Slot order is pendant square first, then the pendant
-    products ascending, then the diagonal ascending.
+    edge); cell (1, m) is the pendant's one edge.  Slot order is pendant
+    square first, then the pendant products ascending, then the diagonal
+    ascending.
     """
     m = target.element_count
     n = target.n
     full_domain = tuple(range(m + 1))
     diagonal = tuple((i, i) for i in range(1, n + 1))
     if isinstance(target, CompleteK):
-        return diagonal, (full_domain,) * n
+        return SearchSpec(diagonal, (full_domain,) * n)
     slots = ((m, m), *((i, m) for i in range(2, n + 1)), *diagonal)
-    return slots, (full_domain, *(full_domain[1:],) * (n - 1), *(full_domain,) * n)
+    return SearchSpec(slots, (full_domain, *(full_domain[1:],) * (n - 1), *(full_domain,) * n))
 
 
-def seed_partial_table(target: TargetGraph) -> SearchSpec:
-    """Forced constraints and free slots for a target graph.
+def _seed_grid(spec: SearchSpec) -> list[list[int]]:
+    """The seed as a mutable grid: ``UNSET`` at each slot, 0 elsewhere.
 
-    Every off-diagonal product within the clique 1..n is forced to 0.
-    With a pendant (element m), the pendant kills only element 1, so
-    cell (1, m) is forced 0 too.  The free cells are ``_free_cells``.
+    (m, m) is a slot of every seed and the largest one.
     """
-    m = target.element_count
-    grid = [[UNSET] * (m + 1) for _ in range(m + 1)]
-    for u in range(m + 1):
-        grid[0][u] = grid[u][0] = 0
-    n = target.n
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            grid[u][v] = grid[v][u] = 0
-    if not isinstance(target, CompleteK):
-        grid[1][m] = grid[m][1] = 0
-    slots, domains = _free_cells(target)
-    return SearchSpec(slots, domains, tuple(tuple(row) for row in grid))
+    m = max(spec.slots)[0]
+    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    for u, v in spec.slots:
+        grid[u][v] = grid[v][u] = UNSET
+    return grid
 
 
 def _automorphism_movable(target: TargetGraph) -> tuple[int, ...]:
@@ -132,14 +128,9 @@ def assignment_count(spec: SearchSpec) -> int:
     return prod(len(d) for d in spec.domains)
 
 
-def _prune_free_leaves(target: TargetGraph) -> int:
-    """``assignment_count`` of ``target``'s seed, from the domain sizes alone."""
-    return prod(map(len, _free_cells(target)[1]))
-
-
 def fits_budget(target: TargetGraph) -> bool:
     """True when the prune-free leaves of ``target`` are within the desk-scale limit."""
-    return _prune_free_leaves(target) <= DESK_SCALE_LIMIT
+    return assignment_count(seed_partial_table(target)) <= DESK_SCALE_LIMIT
 
 
 def _decimal(count: int) -> str:
@@ -160,7 +151,7 @@ def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
     """Refuse a search of ``target`` whose prune-free leaves exceed the desk-scale limit."""
     if allow_long_run or fits_budget(target):
         return
-    leaves = _prune_free_leaves(target)
+    leaves = assignment_count(seed_partial_table(target))
     raise BudgetError(
         f"{_decimal(leaves)} assignments for {target} exceeds the desk-scale limit "
         f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
@@ -168,16 +159,16 @@ def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
 
 
 def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:
-    """Every completion of the template, with no validity filtering.
+    """Every completion of the seed, with no validity filtering.
 
     All completions share the seed's labelled zero-divisor graph: the
-    off-diagonal cells the seed forces to 0 are its edges, the free
-    off-diagonal cells range over nonzero values only and so are never
-    edges, and a free diagonal cell decides only a loop, which is not an
-    edge.  The tables are yielded in ``itertools.product`` order of the
+    off-diagonal cells outside the slots hold 0 and are its edges, the
+    free off-diagonal cells range over nonzero values only and so are
+    never edges, and a free diagonal cell decides only a loop, which is
+    not an edge.  The tables are yielded in ``itertools.product`` order of the
     domains.
     """
-    grid = [list(row) for row in spec.template]
+    grid = _seed_grid(spec)
     for values in itertools.product(*spec.domains):
         for (u, v), val in zip(spec.slots, values):
             grid[u][v] = grid[v][u] = val
@@ -233,7 +224,7 @@ def enumerate_labeled(
     check_budget(target, allow_long_run)
     spec = seed_partial_table(target)
     m = target.element_count
-    grid = [list(row) for row in spec.template]
+    grid = _seed_grid(spec)
     slots = spec.slots
     domains = spec.domains
     depth_max = len(slots)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from zdsemigroups import counting
+from zdsemigroups.classify import canonical_form, key_from_hex, key_to_hex, table_from_key
 from zdsemigroups.cli import main
 from zdsemigroups.counting import PENDANT_CASES, pendant_case_breakdown
 from zdsemigroups.errors import UsageError
+from zdsemigroups.graphs import CompleteK, CompletePlusEnd
 from zdsemigroups.reports import (
     ResultsCache,
     build_count_report,
@@ -18,6 +21,8 @@ from zdsemigroups.reports import (
     render_verification,
     run_verification,
 )
+from zdsemigroups.search import iter_candidate_tables, oracle_classes, seed_partial_table
+from zdsemigroups.tables import check_associativity, permute_table, table_to_json
 
 
 def test_count_report_kn_consistent():
@@ -460,7 +465,40 @@ def _add_one_to_a_multiplicity(classes):
     classes[0]["multiplicity"] += 1
 
 
-def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
+def _store_class(item, key):
+    item["key"] = key_to_hex(key)
+    item["table"] = table_to_json(table_from_key(key))
+
+
+def _relabel_first_class(classes):
+    # a transposition of class 0, stored under its own flattened triangle
+    key = key_from_hex(classes[0]["key"])
+    table = table_from_key(key)
+    m = table.m
+    for u, v in itertools.combinations(range(1, m + 1), 2):
+        perm = list(range(m + 1))
+        perm[u], perm[v] = v, u
+        entries = permute_table(table, perm).entries
+        triangle = tuple(entries[a][b] for a, b in
+                         itertools.combinations_with_replacement(range(1, m + 1), 2))
+        if triangle != key:
+            break
+    _store_class(classes[0], triangle)
+
+
+def _store_a_non_associative_candidate(classes):
+    # canonical, and with the target graph, but not a semigroup
+    candidates = iter_candidate_tables(seed_partial_table(CompletePlusEnd(3)))
+    table = next(t for t in candidates if check_associativity(t) is not None)
+    _store_class(classes[0], canonical_form(table))
+
+
+def _store_a_class_of_k4(classes):
+    # a canonical zero-divisor semigroup with m = 4 whose graph is K_4
+    _store_class(classes[0], oracle_classes(CompleteK(4)).keys()[0])
+
+
+def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit, reason):
     argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -469,7 +507,9 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     intact = entry.read_text()
     _tamper(entry, edit)
     assert ResultsCache(tmp_path).get_catalog("kn1", 3) is None
-    assert capsys.readouterr().err.startswith("warning: ignoring unreadable cache entry")
+    warning = capsys.readouterr().err
+    assert warning.startswith("warning: ignoring unreadable cache entry")
+    assert reason in warning
 
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -478,11 +518,23 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit):
     assert entry.read_text() == intact
 
 
-@pytest.mark.parametrize("edit", (_swap_two_key_digits, _change_one_cell,
-                                  _repeat_first_class, _drop_every_class,
-                                  _drop_last_class, _add_one_to_a_multiplicity))
-def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit):
-    _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit)
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(edit, reason, id=edit.__name__) for edit, reason in (
+        (_swap_two_key_digits, "stores a table other than its key's"),
+        (_change_one_cell, "stores a table other than its key's"),
+        (_repeat_first_class, "is listed twice"),
+        (_drop_every_class, "the entry lists no class"),
+        (_drop_last_class, "labelled tables, not"),
+        (_add_one_to_a_multiplicity, "labelled tables, not"),
+        # each of the last three passes every other check, so only one
+        # check in ``reports._check_cached_class`` can catch it
+        (_relabel_first_class, "does not reproduce its key"),
+        (_store_a_non_associative_candidate, "is not a zero-divisor semigroup"),
+        (_store_a_class_of_k4, "does not realize the target graph"),
+    )
+])
+def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit, reason):
+    _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit, reason)
 
 
 @pytest.mark.parametrize("multiplicity", (0, -7, "3", 2.9, True),
@@ -491,4 +543,5 @@ def test_cache_entry_with_bad_multiplicity_is_a_miss(tmp_path, capsys, multiplic
     def set_multiplicity(classes):
         classes[0]["multiplicity"] = multiplicity
 
-    _assert_tampered_entry_is_a_miss(tmp_path, capsys, set_multiplicity)
+    _assert_tampered_entry_is_a_miss(tmp_path, capsys, set_multiplicity,
+                                     "multiplicity must be a positive integer")

@@ -16,6 +16,7 @@ from zdsemigroups.graphs import (
     build_zd_graph,
     realizes,
     recognize_target,
+    target_to_graph,
 )
 from zdsemigroups.search import (
     DESK_SCALE_LIMIT,
@@ -111,8 +112,13 @@ def rescanning_search(target):
     leaves reached.
     """
     spec = seed_partial_table(target)
-    m = target.element_count
-    grid = [list(row) for row in spec.template]
+    graph = target_to_graph(target)
+    m = graph.vertex_count
+    # The starting grid comes from the graph, not from the package's seed:
+    # 0 on the zero row and column and on every edge, unset elsewhere.
+    grid = [[0] * (m + 1)] + [[0] + [-1] * m for _ in range(m)]
+    for u, v in graph.edges:
+        grid[u][v] = grid[v][u] = 0
     multisets = list(itertools.combinations_with_replacement(range(1, m + 1), 3))
     accepted = []
     leaves = 0
@@ -204,10 +210,10 @@ def test_budget_refusal():
 
 def test_budget_gate_at_n4000_builds_no_seed(monkeypatch, capsys):
     # the prune-free leaf count comes from the domain sizes alone
-    def refuse(target):
+    def refuse(spec):
         raise AssertionError("the budget gate built the seed grid")
 
-    monkeypatch.setattr(search, "seed_partial_table", refuse)
+    monkeypatch.setattr(search, "_seed_grid", refuse)
     target = CompletePlusEnd(4000)
     assert not search.fits_budget(target)
     message = ("more than 10^28817 assignments for CompletePlusEnd(n=4000) exceeds the "
@@ -219,9 +225,24 @@ def test_budget_gate_at_n4000_builds_no_seed(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_budget_leaf_count_matches_the_seed():
-    for target in (CompleteK(1), CompleteK(4), CompletePlusEnd(3), CompletePlusEnd(5)):
-        assert search._prune_free_leaves(target) == assignment_count(seed_partial_table(target))
+@pytest.mark.parametrize(
+    "target",
+    [CompleteK(n) for n in range(1, 7)] + [CompletePlusEnd(n) for n in range(2, 7)],
+    ids=str,
+)
+def test_seed_zeros_are_the_target_edges(target):
+    # every off-diagonal cell outside the slots holds 0, so those cells
+    # must be exactly the target's edges
+    spec = seed_partial_table(target)
+    m = target.element_count
+    free = {tuple(sorted(slot)) for slot in spec.slots}
+    zeros = {(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)} - free
+    assert zeros == target_to_graph(target).edges
+    assert len(free) == len(spec.slots) == len(spec.domains)
+    assert search._seed_grid(spec) == [
+        [-1 if (min(u, v), max(u, v)) in free else 0 for v in range(m + 1)]
+        for u in range(m + 1)
+    ]
 
 
 @pytest.mark.parametrize("target, recognition", [
