@@ -31,7 +31,8 @@ such order:
   inside B itself, a swap inside B moves the product too, so splitting
   would be wrong there.  Of elements whose transposition is a table
   automorphism (twins) only one is tried, because both give the same
-  keys.
+  keys.  A transposition is a twin when it maps the table's code, its
+  byte rows joined, onto itself under ``tables._relabeling``.
 
 Each move keeps a subset of the orders, so the search visits at most m!
 leaves, as brute force would, and returns the same key.
@@ -40,21 +41,21 @@ leaves, as brute force would, and returns the same key.
 passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
 in which each class is one orbit of a known symmetric group of
 relabelings: it runs ``canonical_form`` once per orbit, closes that
-table under the group's adjacent transpositions to list the rest of the
-orbit, and keys those tables by lookup.
+table's code under the group's adjacent transpositions, each a
+``tables._relabeling``, to list the rest of the orbit, and keys those
+tables by lookup.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations_with_replacement
-from operator import itemgetter
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import UsageError
 from .graphs import CompleteK, realizes
-from .tables import MulTable, table_from_json, table_to_json
+from .tables import MulTable, _swap, table_from_json, table_to_json
 
 CanonicalKey = tuple  # flat upper triangle of the minimal relabeling
 MAX_HEX_ELEMENTS = 15  # one hex digit per key value
@@ -86,6 +87,7 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
     for the search.
     """
     ent = table.entries
+    code = b"".join(ent)
     m = table.m
     cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
     best: list[int] = []
@@ -93,13 +95,7 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
     @cache
     def twin(z: int, w: int) -> bool:
         """True when exchanging z and w maps the table onto itself."""
-        tau = list(range(m + 1))
-        tau[z], tau[w] = w, z
-        return all(
-            ent[tau[i]][tau[j]] == tau[ent[i][j]]
-            for i in range(1, m + 1)
-            for j in range(i, m + 1)
-        )
+        return _swap(m, z, w)(code) == code
 
     def descend(blocks: list[list[int]], prefix: list[int]) -> None:
         tight = bool(best) and best[: len(prefix)] == prefix
@@ -306,13 +302,11 @@ class OrbitKeyer:
     with that key; the orbit's other tables pop their key from there.
 
     The keyer stores only the transpositions of adjacent elements of
-    ``movable``, which generate the group, each as a gather and a
-    rename.  A transposition is its own inverse, so for a code ``c``,
-    ``bytes(gather(c)).translate(rename)`` is the code of the swapped
-    table: gather reads the old product that lands on each cell, and
-    rename gives that product its new id.  The orbit of a new table is
-    the closure of its code under these swaps, found by a work-list
-    search, so memory grows with the orbits emitted, not with the group.
+    ``movable``, which generate the group, each as the ``_relabeling``
+    that maps a code to the code of the swapped table.  The orbit of a
+    new table is the closure of its code under these swaps, found by a
+    work-list search, so memory grows with the orbits emitted, not with
+    the group.
 
     A code left pending at the end names a relabeling that was never
     emitted, or a table emitted twice, so ``check_closed`` raises
@@ -321,24 +315,19 @@ class OrbitKeyer:
 
     def __init__(self, m: int, movable: Sequence[int], catalog: ClassCatalog):
         self.catalog = catalog
-        self._swaps = []
-        for a, b in zip(movable, movable[1:]):
-            tau = list(range(m + 1))
-            tau[a], tau[b] = b, a
-            gather = itemgetter(*(u * (m + 1) + v for u in tau for v in tau))
-            self._swaps.append((gather, bytes(tau).ljust(256, b"\0")))
+        self._swaps = [_swap(m, a, b) for a, b in zip(movable, movable[1:])]
         self._pending: dict[bytes, CanonicalKey] = {}
 
     def __call__(self, table: MulTable) -> CanonicalKey:
-        code = bytes(chain.from_iterable(table.entries))
+        code = b"".join(table.entries)
         key = self._pending.pop(code, None)
         if key is None:
             key = canonical_form(table)
             orbit = {code}
             work = [code]
             for seen in work:
-                for gather, rename in self._swaps:
-                    image = bytes(gather(seen)).translate(rename)
+                for swap in self._swaps:
+                    image = swap(seen)
                     if image not in orbit:
                         orbit.add(image)
                         work.append(image)

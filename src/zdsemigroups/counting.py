@@ -51,12 +51,32 @@ coefficient of x^r y^(n-1-r) in
     1/(1-x) prod_(a,b0,b1) 1/(1 - x^(1+a) y^(b0+b1))
       + 1/(1-x) prod_(a,b0) 1/(1 - x^(1+a) y^b0)
 
-which ``self_stratum_counts`` computes.  The formula method prefers the
-stated ``STRATUM_RULES`` where they cover a stratum, so a wrong stated
-value shows as a deviation from the enumerated count.  Previously
-tabulated values for small cases are kept in ``TABULATED_COUNTS`` purely
-as cross-checks: where a computed count disagrees, the computation wins
-and the deviation is surfaced as a discrepancy finding.
+which ``self_stratum_counts`` computes.
+
+For r = 2 that coefficient has a closed form.  With s = n - 3 the
+y-degree is s, and the x-degree 2 is made as follows:
+
+- two idempotent fixed points and no block, only at n = 3: once in each
+  series, so 2;
+- one idempotent fixed point and one block with a = 0, or none and one
+  block with a = 1: in each, s + 1 splits b0 + b1 = s in the first
+  series and one in the second, so 2(s + 2) together;
+- two blocks with a = 0.  In the first series that is an unordered pair
+  of splits (b0, b1), (b0', b1') with b0 + b1 + b0' + b1' = s: of the
+  C(s + 3, 3) ordered pairs, s/2 + 1 pair a split with itself when s is
+  even, so there are (C(s + 3, 3) + [s even](s/2 + 1))/2 unordered ones.
+  In the second series it is a pair {b, s - b}: floor(s/2) + 1 of them.
+
+So stratum 2 counts 2s + 5 + floor(s/2) + (C(s + 3, 3) + [s even](s/2 + 1))/2
+classes, plus 2 more at n = 3; the tests check this against
+``self_stratum_counts`` up to n = 40.
+
+The formula method prefers the stated ``STRATUM_RULES`` where they
+cover a stratum, so a wrong stated value shows as a deviation from the
+enumerated count.  Previously tabulated values for small cases are kept
+in ``TABULATED_COUNTS`` purely as cross-checks: where a computed count
+disagrees, the computation wins and the deviation is surfaced as a
+discrepancy finding.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ vertex attached to a single clique vertex.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from operator import not_
 from typing import NamedTuple, Optional, Union
 
@@ -136,13 +136,12 @@ class Recognition(NamedTuple):
 def build_zd_graph(table: MulTable) -> SimpleGraph:
     """Graph on {1..m} with an edge {u, v} whenever u != v and uv = 0.
 
-    The upper-triangle products are read from the flattened grid at
+    The upper-triangle products are read from the table's code at
     positions cached per m, and the pairs whose product is 0 kept.
     """
-    m = table.m
-    positions, pairs = _upper_triangle(m)
-    flat = list(chain.from_iterable(table.entries))
-    return SimpleGraph(m, frozenset(compress(pairs, map(not_, map(flat.__getitem__, positions)))))
+    positions, pairs = _upper_triangle(table.m)
+    zeros = map(not_, map(b"".join(table.entries).__getitem__, positions))
+    return SimpleGraph(table.m, frozenset(compress(pairs, zeros)))
 
 
 def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:

@@ -575,8 +575,7 @@ def _ideal_violations(catalog: ClassCatalog, target: TargetGraph):
     for entry in catalog.entries():
         table = entry.representative
         pendant = realizes(table, target).pendant
-        elements = range(1, table.m + 1)
-        if any(table.entries[u][v] == pendant for u in elements if u != pendant for v in elements):
+        if any(pendant in row for u, row in enumerate(table.entries) if u != pendant):
             bad.append(table)
     return bad
 

@@ -172,7 +172,7 @@ def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:
     for values in itertools.product(*spec.domains):
         for (u, v), val in zip(spec.slots, values):
             grid[u][v] = grid[v][u] = val
-        yield MulTable.from_rows(grid)
+        yield MulTable(tuple(map(bytes, grid)))
 
 
 def _partial_violation(g: list[list[int]], triples) -> bool:
@@ -240,7 +240,7 @@ def enumerate_labeled(
     def descend(depth: int) -> None:
         nonlocal accepted
         if depth == depth_max:
-            table = MulTable.from_rows(grid)
+            table = MulTable(tuple(map(bytes, grid)))
             if is_zd_semigroup(table) and realizes(table, target) is not None:
                 accepted += 1
                 if visitor is not None:

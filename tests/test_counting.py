@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 from collections import Counter
 
@@ -136,6 +137,15 @@ def test_clique_generator_checks_the_graph(monkeypatch):
     monkeypatch.setattr(counting, "_iter_clique_profile_tables", lambda n: iter([path]))
     with pytest.raises(RuntimeError, match="does not realize"):
         generate_clique_classes(3)
+
+
+def test_clique_generator_checks_associativity(monkeypatch):
+    # its graph is the triangle, but (1 * 1) * 2 = 2 while 1 * (1 * 2) = 0
+    table = MulTable.from_cells(3, [((1, 1), 2), ((2, 2), 2)])
+    monkeypatch.setattr(counting, "_iter_clique_profile_tables", lambda n: iter([table]))
+    with pytest.raises(RuntimeError) as error:
+        generate_clique_classes(3)
+    assert "AssocWitness(u=1, v=1, w=2, lhs=2, rhs=0)" in str(error.value)
 
 
 def test_check_clique_squares():
@@ -331,6 +341,18 @@ def test_self_generator_refuses_an_orbit_with_a_missing_table(monkeypatch):
         generate_pendant_square_self(4)
 
 
+def test_self_generator_refuses_a_fixed_point_count_that_varies_on_a_class(monkeypatch):
+    tables = counting._iter_self_case_tables
+
+    def shifted(n):
+        for index, (table, r) in enumerate(tables(n)):
+            yield table, r + (index > 0)
+
+    monkeypatch.setattr(counting, "_iter_self_case_tables", shifted)
+    with pytest.raises(RuntimeError, match="fixed-point count is not constant on a class"):
+        generate_pendant_square_self(4)
+
+
 def test_case_catalogs_pairwise_disjoint():
     for n in (3, 4):
         breakdown = pendant_case_breakdown(n)
@@ -357,9 +379,24 @@ def test_fixed_points_formula_values():
         fixed_points_formula(4, 0)
 
 
+def r2_stratum_closed_form(n):
+    """The r=2 stratum count of the ``counting`` docstring, with s = n - 3."""
+    s = n - 3
+    pairs = (math.comb(s + 3, 3) + (s % 2 == 0) * (s // 2 + 1)) // 2
+    return 2 * s + 5 + s // 2 + pairs + (2 if n == 3 else 0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_self_stratum_counts_match_generator(n):
-    assert self_stratum_counts(n) == generate_pendant_square_self(n).by_fixed_points
+    by_fixed_points = generate_pendant_square_self(n).by_fixed_points
+    assert self_stratum_counts(n) == by_fixed_points
+    assert by_fixed_points[2] == r2_stratum_closed_form(n)
+
+
+def test_r2_stratum_closed_form_matches_the_block_count():
+    assert [r2_stratum_closed_form(n) for n in (3, 4, 5, 6)] == [8, 9, 16, 22]
+    for n in range(3, 41):
+        assert self_stratum_counts(n)[2] == r2_stratum_closed_form(n), n
 
 
 @pytest.mark.parametrize("n", [3, 4])

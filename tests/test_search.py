@@ -79,7 +79,7 @@ def test_enumerate_k2_labeled():
 def test_enumerate_k1():
     tables = []
     assert enumerate_labeled(CompleteK(1), tables.append) == 1
-    assert tables[0].entries == ((0, 0), (0, 0))
+    assert tables[0].entries == (bytes([0, 0]), bytes([0, 0]))
 
 
 def test_accepted_tables_are_valid():
@@ -175,6 +175,22 @@ def test_cell_reader_index_prunes_like_a_full_rescan(monkeypatch, target):
     # The reference has no budget; kn1 n=5 is over it but takes under a second.
     enumerate_labeled(target, lambda t: accepted.append(t.entries), allow_long_run=True)
     assert (accepted, leaves) == rescanning_search(target)
+
+
+def test_oracle_leaves_check_the_graph(monkeypatch):
+    # A zero at (2, m) adds the edge 2 - m, so the leaves must refuse it.
+    seed = search.seed_partial_table
+
+    def widened(target):
+        spec = seed(target)
+        m = target.element_count
+        domains = tuple((0, *domain) if slot == (2, m) else domain
+                        for slot, domain in zip(spec.slots, spec.domains))
+        return search.SearchSpec(spec.slots, domains)
+
+    monkeypatch.setattr(search, "seed_partial_table", widened)
+    assert enumerate_labeled(CompletePlusEnd(3)) == 36
+    assert enumerate_labeled(CompletePlusEnd(4)) == 167
 
 
 def test_visitor_order_deterministic():

@@ -148,6 +148,15 @@ def test_validation_rejects_bad_grids():
     ([[0, 0], [1, 1]], "zero row/column must be identically zero"),
     ([[0, 0, 0], [0, 0, 1], [0, 2, 0]], "table is not symmetric at (1, 2)"),
     ([[0, 0, 0], [0, 1, 2], [0, 1, 2]], "table is not symmetric at (1, 2)"),
+    # entries that do not fit a byte get the range message too
+    ([[0, 0], [0, 256]], "entry 256 outside element range 0..1"),
+    ([[0, 0, 0], [0, 5, 0], [0, 0, -1]], "entry 5 outside element range 0..2"),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, -1]], "entry -1 outside element range 0..2"),
+    # bytes(3) would be three zero bytes, so a bare int is not a row
+    ([[0, 0, 0], 3, [0, 0, 0]], "table grid must be square"),
+    ([bytes(3), bytes([0, 0, 1]), bytes([0, 1, 3])], "entry 3 outside element range 0..2"),
+    ([bytes(3), bytes(3), bytes(2)], "table grid must be square"),
+    ([bytes(3), bytes([0, 1, 0]), bytes([0, 2, 1])], "table is not symmetric at (1, 2)"),
 ])
 def test_from_rows_rejects_each_invalid_grid_with_its_message(rows, message):
     with pytest.raises(UsageError) as error:
@@ -180,12 +189,15 @@ def test_from_rows_refuses_an_entry_that_is_not_an_int(entry):
         MulTable.from_rows([[0, 0], [0, entry]])
 
 
-def test_from_rows_stores_a_tuple_grid():
+def test_from_rows_stores_a_bytes_grid():
     t = MulTable.from_rows([[0, 0], [0, 1]])
-    assert t.entries == ((0, 0), (0, 1))
-    assert all(type(row) is tuple for row in t.entries)
+    assert t.entries == (bytes([0, 0]), bytes([0, 1]))
+    assert type(t.entries) is tuple and all(type(row) is bytes for row in t.entries)
+    assert type(t.entries[1][1]) is int
     assert repr(t) == "MulTable(entries=((0, 0), (0, 1)))"
-    # a list grid passed to the constructor directly is still checked
+    # rows given as bytes, or as a list grid passed to the constructor
+    # directly, make the same table and are still checked
+    assert MulTable([b"\0\0", b"\0\1"]) == MulTable(((0, 0), (0, 1))) == t
     assert MulTable([[0, 0, 0], [0, 0, 1], [0, 1, 0]]).m == 2
     with pytest.raises(UsageError, match=r"not symmetric at \(1, 2\)"):
         MulTable([[0, 0, 0], [0, 0, 1], [0, 2, 0]])
@@ -193,13 +205,15 @@ def test_from_rows_stores_a_tuple_grid():
 
 def test_from_cells_mirrors_listed_products():
     t = MulTable.from_cells(3, [((1, 3), 2), ((2, 2), 1), ((3, 3), 3)])
-    assert t.entries == ((0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 0), (0, 2, 0, 3))
+    assert t.entries == (bytes([0, 0, 0, 0]), bytes([0, 0, 0, 2]),
+                         bytes([0, 0, 1, 0]), bytes([0, 2, 0, 3]))
     assert MulTable.from_cells(3, []) == K3_NULL
-    with pytest.raises(UsageError) as from_cells_error:
-        MulTable.from_cells(1, [((1, 1), 5)])
-    with pytest.raises(UsageError) as from_rows_error:
-        MulTable.from_rows([[0, 0], [0, 5]])
-    assert str(from_cells_error.value) == str(from_rows_error.value)
+    for value in (5, 256, -1, True, 1.5):
+        with pytest.raises(UsageError) as from_cells_error:
+            MulTable.from_cells(1, [((1, 1), value)])
+        with pytest.raises(UsageError) as from_rows_error:
+            MulTable.from_rows([[0, 0], [0, value]])
+        assert str(from_cells_error.value) == str(from_rows_error.value)
 
 
 def test_json_round_trip():
