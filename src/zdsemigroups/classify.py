@@ -41,9 +41,9 @@ leaves, as brute force would, and returns the same key.
 passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
 in which each class is one orbit of a known symmetric group of
 relabelings: it runs ``canonical_form`` once per orbit, closes that
-table's code under the group's adjacent transpositions, each a
-``tables._relabeling``, to list the rest of the orbit, and keys those
-tables by lookup.
+table's code under two generators of the group, a transposition and a
+cycle, each a ``tables._relabeling``, to list the rest of the orbit,
+and keys those tables by lookup.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import UsageError
 from .graphs import CompleteK, realizes
-from .tables import MulTable, _swap, table_from_json, table_to_json
+from .tables import MulTable, _relabeling, _swap, table_from_json, table_to_json
 
 CanonicalKey = tuple  # flat upper triangle of the minimal relabeling
 MAX_HEX_ELEMENTS = 15  # one hex digit per key value
@@ -301,12 +301,14 @@ class OrbitKeyer:
     grids as ``bytes``) of the rest of its orbit wait in a pending dict
     with that key; the orbit's other tables pop their key from there.
 
-    The keyer stores only the transpositions of adjacent elements of
-    ``movable``, which generate the group, each as the ``_relabeling``
-    that maps a code to the code of the swapped table.  The orbit of a
-    new table is the closure of its code under these swaps, found by a
-    work-list search, so memory grows with the orbits emitted, not with
-    the group.
+    The keyer stores only two generators of the group, the
+    transposition (a1 a2) and the cycle (a1 a2 ... ak) of ``movable`` =
+    a1..ak, each as the ``_relabeling`` that maps a code to the code of
+    the relabeled table.  For k = 2 the cycle is the transposition and
+    is left out, and for k <= 1 there is no generator.  The orbit of a
+    new table is the closure of its code under the generators, found by
+    a work-list search, so memory grows with the orbits emitted, not
+    with the group.
 
     A code left pending at the end names a relabeling that was never
     emitted, or a table emitted twice, so ``check_closed`` raises
@@ -315,7 +317,10 @@ class OrbitKeyer:
 
     def __init__(self, m: int, movable: Sequence[int], catalog: ClassCatalog):
         self.catalog = catalog
-        self._swaps = [_swap(m, a, b) for a, b in zip(movable, movable[1:])]
+        a = list(movable)
+        # (a1 a2) and (a1 a2 ... ak); k = 2 needs only the first, k <= 1 neither
+        moves = [dict(zip(a[:2], a[1::-1])), dict(zip(a, a[1:] + a[:1]))][:max(len(a) - 1, 0)]
+        self._generators = [_relabeling([g.get(u, u) for u in range(m + 1)]) for g in moves]
         self._pending: dict[bytes, CanonicalKey] = {}
 
     def __call__(self, table: MulTable) -> CanonicalKey:
@@ -326,8 +331,8 @@ class OrbitKeyer:
             orbit = {code}
             work = [code]
             for seen in work:
-                for swap in self._swaps:
-                    image = swap(seen)
+                for generator in self._generators:
+                    image = generator(seen)
                     if image not in orbit:
                         orbit.add(image)
                         work.append(image)

@@ -7,6 +7,11 @@ edges; they only make u a zero divisor.
 Two graph families are recognized: the complete graph on n vertices,
 and a complete graph on n vertices with one extra pendant (degree-1)
 vertex attached to a single clique vertex.
+
+``realizes`` is the graph check of every leaf and generated table.  The
+graph depends only on which products are 0, so it recognizes each zero
+pattern once and looks the recognition up for every later table with
+that pattern.
 """
 
 from __future__ import annotations
@@ -172,13 +177,34 @@ def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
     return Recognition(CompletePlusEnd(nv - 1), p, neighbor)
 
 
+# bytes.translate table that maps a product to 1 when it is 0, else to 0
+_ZERO_FLAGS = b"\1".ljust(256, b"\0")
+RECOGNITION_MEMO_SIZE = 1024
+_recognitions: dict[bytes, Optional[Recognition]] = {}
+
+
 def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:
     """The table's recognition when its zero-divisor graph is ``target``, else None.
 
     The one place where a recognized graph is compared with a known
     target; the recognition names the pendant and its neighbor.
+
+    The graph is a function of the table's zero flags (its code with
+    each product 0 read as 1 and every other product as 0), whose length
+    (m+1)**2 fixes m.  So ``recognize_target(build_zd_graph(table))``
+    runs only on a flag pattern that the module-level memo does not
+    hold yet, and every call still compares the result with ``target``.
+    The memo keeps at most ``RECOGNITION_MEMO_SIZE`` patterns and is
+    emptied when full.  An entry costs its key, (m+1)**2 bytes, plus
+    about 250 bytes: under 0.6 MB in all for m <= 16, and about 67 MB
+    at worst, with m = 255.
     """
-    rec = recognize_target(build_zd_graph(table))
+    flags = b"".join(table.entries).translate(_ZERO_FLAGS)
+    rec = _recognitions.get(flags, False)
+    if rec is False:
+        if len(_recognitions) >= RECOGNITION_MEMO_SIZE:
+            _recognitions.clear()
+        rec = _recognitions[flags] = recognize_target(build_zd_graph(table))
     return rec if rec is not None and rec.target == target else None
 
 

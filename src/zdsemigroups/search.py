@@ -8,8 +8,9 @@ branch as soon as some fully determined triple breaks the associative
 law.  Completed tables are re-validated from scratch: ``is_zd_semigroup``
 checks associativity and zero-divisor membership, and
 ``graphs.realizes``, the graph check every generated table also passes,
-checks the exact graph.  So the pruning is an optimization only and
-nothing is trusted by construction.
+checks the exact graph.  It recognizes each zero pattern once, and
+8,353 leaves at kn1 n=6 have 96 patterns.  So the pruning is an
+optimization only and nothing is trusted by construction.
 
 For a commutative table the associative law for every ordered triple is
 equivalent to, for each multiset {u, v, w}, the three products

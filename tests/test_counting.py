@@ -29,7 +29,7 @@ from zdsemigroups.counting import (
 )
 from zdsemigroups.errors import UsageError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
-from zdsemigroups.search import iter_candidate_tables, seed_partial_table
+from zdsemigroups.search import enumerate_labeled, iter_candidate_tables, seed_partial_table
 from zdsemigroups.tables import MulTable, check_associativity
 
 
@@ -128,6 +128,47 @@ def test_clique_generator_matches_oracle():
 
     for n in (2, 3, 4):
         assert generate_clique_classes(n).keys() == oracle_classes(CompleteK(n)).keys()
+
+
+def clique_labelled_count(n):
+    """Labelled kn tables in closed form: k nilpotents, t idempotents, and
+    each of the other n-k-t elements squaring to one of the k nilpotents."""
+    return sum(math.comb(n, k) * math.comb(n - k, t) * k ** (n - k - t)
+               for k in range(n + 1) for t in range(n - k + 1))
+
+
+def test_clique_labelled_count_closed_form_matches_oracle():
+    # no canonical form on either side
+    counts = [enumerate_labeled(CompleteK(n)) for n in range(2, 7)]
+    assert counts == [clique_labelled_count(n) for n in range(2, 7)] == [6, 23, 104, 537, 3100]
+    # at n=1 the closed form counts the all-idempotent table 1*1 = 1, which has no zero divisor
+    assert (clique_labelled_count(1), enumerate_labeled(CompleteK(1))) == (2, 1)
+
+
+def automorphism_count(table):
+    """|Aut(T)| by brute force: relabelings p of 1..m with p(uv) = p(u)p(v)."""
+    ent, m = table.entries, table.m
+    cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+    return sum(
+        all(ent[p[u]][p[v]] == p[ent[u][v]] for u, v in cells)
+        for p in ((0, *images) for images in itertools.permutations(range(1, m + 1)))
+    )
+
+
+@pytest.mark.parametrize("target, labelled", [
+    *((CompleteK(n), count) for n, count in zip(range(2, 7), (6, 23, 104, 537, 3100))),
+    *((CompletePlusEnd(n), count) for n, count in zip(range(3, 6), (36, 167, 1024))),
+], ids=str)
+def test_orbit_stabilizer_over_generator_classes_gives_the_labelled_count(target, labelled):
+    # each class is one orbit of Aut(G) on the labelled tables, of size |Aut(G)| / |Aut(T)|;
+    # Aut(G) is S_n for K_n and S_{n-1} for K_n plus a pendant (n >= 3)
+    if isinstance(target, CompleteK):
+        catalog, group_order = generate_clique_classes(target.n), math.factorial(target.n)
+    else:
+        catalog, group_order = pendant_case_breakdown(target.n).merged_catalog(), math.factorial(target.n - 1)
+    orbit_sizes = [group_order // automorphism_count(e.representative) for e in catalog.entries()]
+    # kn1 n=5 passes the budget gate only as a long run; its pruned search takes milliseconds
+    assert sum(orbit_sizes) == enumerate_labeled(target, allow_long_run=True) == labelled
 
 
 def test_clique_generator_checks_the_graph(monkeypatch):
@@ -290,19 +331,22 @@ def test_equivalence_row_equals_its_definition_under_a_wrong_check(monkeypatch):
 
 
 def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
-    # every 7th candidate of n=3 covers all four cases, passing and failing
+    # every 7th candidate of n=3 covers all four cases, passing and failing;
+    # the graph is recognized once per distinct zero pattern, not per table
     tables = list(itertools.islice(iter_candidate_tables(seed_partial_table(CompletePlusEnd(3))),
                                    0, None, 7))
     expected = [check_associativity(t) is None for t in tables]
+    patterns = {tuple(tuple(x == 0 for x in row) for row in t.entries) for t in tables}
     calls = []
 
     def counted(graph):
         calls.append(graph)
         return recognize_target(graph)
 
+    monkeypatch.setattr(graphs, "_recognitions", {})
     monkeypatch.setattr(graphs, "recognize_target", counted)
     assert [pendant_conditions_hold(t) for t in tables] == expected
-    assert len(calls) == len(tables)
+    assert len(tables) == 1429 and len(calls) == len(patterns) < len(tables)
 
 
 def _keyed_reference(n, key_of):

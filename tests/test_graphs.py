@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from zdsemigroups import graphs
 from zdsemigroups.errors import UsageError
 from zdsemigroups.graphs import (
+    RECOGNITION_MEMO_SIZE,
     CompleteK,
     CompletePlusEnd,
     SimpleGraph,
@@ -215,6 +217,62 @@ def test_target_to_graph_round_trip():
         assert realizes(table_of(graph), type(target)(target.n + 1)) is None  # wrong n
     # wrong family on the same four elements
     assert realizes(table_of(target_to_graph(CompleteK(4))), CompletePlusEnd(3)) is None
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """``realizes`` with no zero pattern recognized yet; the memo is returned."""
+    memo = {}
+    monkeypatch.setattr(graphs, "_recognitions", memo)
+    return memo
+
+
+def filtered_recognition(table, target):
+    """``realizes`` by its definition: the recognizer's result, kept only for ``target``."""
+    rec = recognize_target(build_zd_graph(table))
+    return rec if rec is not None and rec.target == target else None
+
+
+def test_realizes_equals_the_recognizer_filtered_by_target(empty_memo):
+    pendant_table = table_of(target_to_graph(CompletePlusEnd(3)))
+    moved = [permute_table(pendant_table, [0, *perm]) for perm in itertools.permutations(range(1, 5))]
+    assert {filtered_recognition(t, CompletePlusEnd(3)).pendant for t in moved} == {1, 2, 3, 4}
+    neither = [table_of(graph_of(edges, 4)) for edges in (
+        [(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (3, 4), (1, 4)],
+        [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], [])]
+    complete = table_of(target_to_graph(CompleteK(4)))
+    targets = [CompleteK(4), CompletePlusEnd(3), CompleteK(3), CompletePlusEnd(4)]
+    for order in (targets, targets[::-1]):
+        empty_memo.clear()
+        for table in [*moved, *neither, complete]:
+            for target in order:
+                assert realizes(table, target) == filtered_recognition(table, target), (table, target)
+    # one table against each family, in both orders, each time from an empty memo
+    for order in ([CompleteK(4), CompletePlusEnd(3)], [CompletePlusEnd(3), CompleteK(4)]):
+        for table in (complete, moved[5]):
+            empty_memo.clear()
+            assert [realizes(table, t) for t in order] == [filtered_recognition(table, t) for t in order]
+
+
+def test_realizes_tells_apart_tables_with_one_diagonal(empty_memo):
+    # same size, same (all-zero) diagonal; only the pendant's neighbor differs
+    first = table_of(graph_of([(1, 2), (1, 3), (2, 3), (1, 4)], 4))
+    second = table_of(graph_of([(1, 2), (1, 3), (2, 3), (2, 4)], 4))
+    assert [row[u] for u, row in enumerate(first.entries)] == [row[u] for u, row in enumerate(second.entries)]
+    recs = [realizes(first, CompletePlusEnd(3)), realizes(second, CompletePlusEnd(3))]
+    assert recs == [(CompletePlusEnd(3), 4, 1), (CompletePlusEnd(3), 4, 2)]
+    assert len(empty_memo) == 2
+
+
+def test_recognition_memo_stays_within_its_size(empty_memo):
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    sizes = []
+    for mask in range(RECOGNITION_MEMO_SIZE + 50):
+        table = table_of(graph_of([pair for i, pair in enumerate(pairs) if mask >> i & 1], 6))
+        assert realizes(table, CompleteK(6)) == filtered_recognition(table, CompleteK(6))
+        sizes.append(len(empty_memo))
+    # every pattern is new, so the memo fills to its size, is emptied and refills
+    assert max(sizes) == RECOGNITION_MEMO_SIZE and sizes[-1] == 50
 
 
 def test_dot_export_stable_and_labelled():
