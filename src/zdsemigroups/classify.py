@@ -87,7 +87,7 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
     for the search.
     """
     ent = table.entries
-    code = b"".join(ent)
+    code = table.code
     m = table.m
     cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
     best: list[int] = []
@@ -324,7 +324,7 @@ class OrbitKeyer:
         self._pending: dict[bytes, CanonicalKey] = {}
 
     def __call__(self, table: MulTable) -> CanonicalKey:
-        code = b"".join(table.entries)
+        code = table.code
         key = self._pending.pop(code, None)
         if key is None:
             key = canonical_form(table)

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
 from .classify import ClassCatalog, OrbitKeyer
@@ -156,7 +155,6 @@ def _partition_columns(total: int, parts: int) -> Iterator[list[int]]:
         yield col
 
 
-@cache
 def count_partitions_exact(total: int, parts: int) -> int:
     """Number of partitions of ``total`` into exactly ``parts`` positive parts.
 

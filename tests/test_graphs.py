@@ -65,6 +65,7 @@ def test_targets_are_equal_only_within_one_family():
 
 @pytest.mark.parametrize("value, field", [
     (MulTable.from_rows([[0, 0], [0, 0]]), "entries"),
+    (MulTable.from_rows([[0, 0], [0, 0]]), "code"),
     (CompleteK(3), "n"),
     (CompletePlusEnd(3), "n"),
     (SimpleGraph(2, frozenset([(1, 2)])), "edges"),
@@ -92,7 +93,7 @@ def test_tables_and_graphs_never_equal_a_bare_tuple(value, fields):
 
 @pytest.mark.parametrize("n, edge", [
     (3, (0, 1)), (3, (2, 1)), (3, (2, 2)), (3, (1, 4)), (0, (1, 2)),
-    (300, (299, 301)),  # above the largest table, where no allowed-pair set is kept
+    (300, (299, 301)),  # more vertices than the largest table has elements
 ])
 def test_simple_graph_refuses_each_bad_edge_with_its_message(n, edge):
     with pytest.raises(UsageError) as error:

@@ -358,7 +358,7 @@ def test_results_cache_round_trip(tmp_path):
     assert report2.method_counts["oracle"] == 22
 
 
-def _assert_unreadable_entry_is_a_miss(tmp_path, capsys, corrupt):
+def _assert_unreadable_entry_is_a_miss(tmp_path, capsys, corrupt, reason=""):
     argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -370,6 +370,7 @@ def _assert_unreadable_entry_is_a_miss(tmp_path, capsys, corrupt):
     captured = capsys.readouterr()
     assert captured.out == cold
     assert captured.err.startswith("warning: ignoring unreadable cache entry")
+    assert reason in captured.err
     # the entry was rewritten whole, and no temporary file is left behind
     assert list(tmp_path.iterdir()) == [entry]
     assert ResultsCache(tmp_path).get_catalog("kn1", 3).class_count == 22
@@ -389,7 +390,8 @@ def test_deeply_nested_cache_entry_is_a_miss(tmp_path, capsys):
 def test_list_shaped_cache_entry_is_a_miss(tmp_path, capsys):
     # the entry format before the labelled total was recorded
     _assert_unreadable_entry_is_a_miss(tmp_path, capsys,
-                                       lambda text: json.dumps(json.loads(text)["classes"]))
+                                       lambda text: json.dumps(json.loads(text)["classes"]),
+                                       "the entry is not a labeled/classes object")
 
 
 def test_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys):
@@ -545,3 +547,27 @@ def test_cache_entry_with_bad_multiplicity_is_a_miss(tmp_path, capsys, multiplic
 
     _assert_tampered_entry_is_a_miss(tmp_path, capsys, set_multiplicity,
                                      "multiplicity must be a positive integer")
+
+
+@pytest.mark.parametrize("labeled", (True, 1.0), ids=("bool", "float"))
+def test_cache_entry_with_a_labelled_total_that_is_not_an_int_is_a_miss(tmp_path, capsys, labeled):
+    # kn n=1 has one class of one table, so both values equal the true total
+    argv = ["count", "--graph", "kn", "--n", "1", "--method", "oracle",
+            "--cache-dir", str(tmp_path)]
+    code = main(argv)
+    cold = capsys.readouterr().out
+    (entry,) = tmp_path.iterdir()
+    intact = entry.read_text()
+    obj = json.loads(intact)
+    assert obj["labeled"] == labeled
+    obj["labeled"] = labeled
+    entry.write_text(json.dumps(obj, sort_keys=True))
+    assert ResultsCache(tmp_path).get_catalog("kn", 1) is None
+    assert capsys.readouterr().err == (f"warning: ignoring unreadable cache entry {entry}: "
+                                       f"the labelled total must be an integer, got {labeled!r}\n")
+
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.startswith("warning: ignoring unreadable cache entry")
+    assert entry.read_text() == intact

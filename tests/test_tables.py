@@ -1,9 +1,13 @@
 import json
+import pickle
 import random
 
 import pytest
 
+from zdsemigroups.classify import canonical_form, table_from_key
 from zdsemigroups.errors import UsageError
+from zdsemigroups.graphs import CompletePlusEnd
+from zdsemigroups.search import enumerate_labeled, iter_candidate_tables, seed_partial_table
 from zdsemigroups.tables import (
     AssocWitness,
     MulTable,
@@ -214,6 +218,25 @@ def test_from_cells_mirrors_listed_products():
         with pytest.raises(UsageError) as from_rows_error:
             MulTable.from_rows([[0, 0], [0, value]])
         assert str(from_cells_error.value) == str(from_rows_error.value)
+
+
+def test_code_is_the_rows_joined_for_every_producer():
+    pointed = clique_table([2, 0, 1])
+    leaves = []
+    enumerate_labeled(CompletePlusEnd(3), leaves.append)
+    tables = {
+        "from_rows list rows": pointed,
+        "from_rows bytes rows": MulTable.from_rows(pointed.entries),
+        "from_cells": MulTable.from_cells(3, [((1, 3), 2), ((2, 2), 1), ((3, 3), 3)]),
+        "permute_table": permute_table(pointed, [0, 3, 1, 2]),
+        "table_from_key": table_from_key(canonical_form(pointed)),
+        "enumerate_labeled leaf": leaves[-1],
+        "iter_candidate_tables": next(iter_candidate_tables(seed_partial_table(CompletePlusEnd(3)))),
+        "pickle round trip": pickle.loads(pickle.dumps(pointed)),
+    }
+    for producer, table in tables.items():
+        assert type(table.code) is bytes, producer
+        assert table.code == b"".join(table.entries), producer
 
 
 def test_json_round_trip():
