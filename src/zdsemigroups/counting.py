@@ -71,6 +71,15 @@ So stratum 2 counts 2s + 5 + floor(s/2) + (C(s + 3, 3) + [s even](s/2 + 1))/2
 classes, plus 2 more at n = 3; the tests check this against
 ``self_stratum_counts`` up to n = 40.
 
+The x*x = x generator builds its labelled tables from the same
+conditions, one loop per choice (``_iter_self_case_tables``): condition
+(1) drives the loop over the fixed elements, (3) the loop over which of
+them square to 0, (2) the loop over where the pendant sends each other
+element, (2) and (3) the loop over the squares left, and (4) the loop
+over the neighbor's square.  ``pendant_conditions_hold`` checks the
+conditions on a given table; the tests tie the two together table by
+table against the brute-force search.
+
 The formula method prefers the stated ``STRATUM_RULES`` where they
 cover a stratum, so a wrong stated value shows as a deviation from the
 enumerated count.  Previously tabulated values for small cases are kept
@@ -482,44 +491,48 @@ class PendantSelfResult(NamedTuple):
 
 
 def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
-    """All labelled tables meeting the x*x = x conditions, with their r."""
+    """All labelled tables meeting the x*x = x conditions, with their r.
+
+    Each loop makes one choice that the conditions of ``_self_holds``
+    allow, so every table built is yielded, once:
+
+    - the r fixed elements among 2..n (1);
+    - the fixed elements that square to 0 (3);
+    - where the pendant sends each non-fixed element: to a fixed element
+      that squares to 0 (2);
+    - the squares left: a non-fixed element squares to 0 or the neighbor
+      (2), any other fixed element to itself or a fixed element that
+      squares to 0 (3);
+    - the neighbor's square: 0, or the neighbor when no other element
+      squares to it (4).
+    """
     m = n + 1
-    others = list(range(2, n + 1))
-    diagonal = [(i, i) for i in range(1, n + 1)]
-    for targets in itertools.product(others, repeat=n - 1):
-        prod = dict(zip(others, targets))
-        fixed = [i for i in others if prod[i] == i]
-        if not fixed:
-            continue
-        fixed_set = set(fixed)
-        if any(prod[i] not in fixed_set for i in others):
-            continue
-        hit = {prod[i] for i in others if prod[i] != i}
-        head = [((m, m), m)] + [((i, m), prod[i]) for i in others]
-        domains = [(0, 1)]  # the neighbor's square
-        for i in others:
-            if i in hit:
-                domains.append((0,))
-            elif i in fixed_set:
-                domains.append((0, i, *(j for j in fixed if j != i)))
-            else:
-                domains.append((0, 1))
-        for diag in itertools.product(*domains):
-            ok = True
-            for r in fixed:
-                sq = diag[r - 1]
-                if sq not in (0, r) and diag[sq - 1] != 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if diag[0] == 1 and any(diag[i - 1] == 1 for i in others):
-                continue
-            yield MulTable.from_cells(m, head + list(zip(diagonal, diag))), len(fixed)
+    others = range(2, n + 1)
+    for r in range(1, n):
+        for fixed in itertools.combinations(others, r):
+            moved = [i for i in others if i not in fixed]
+            head = [((m, m), m)] + [((i, m), i) for i in fixed]
+            for zeros in itertools.chain.from_iterable(
+                    itertools.combinations(fixed, k) for k in range(r + 1)):
+                rest = [i for i in fixed if i not in zeros]
+                diagonal = [(i, i) for i in moved + rest]
+                domains = [(0, 1)] * len(moved) + [(i, *zeros) for i in rest]
+                for images in itertools.product(zeros, repeat=len(moved)):
+                    sent = head + list(zip(((i, m) for i in moved), images))
+                    for squares in itertools.product(*domains):
+                        cells = sent + list(zip(diagonal, squares))
+                        for neighbor_square in (0,) if 1 in squares else (0, 1):
+                            yield MulTable.from_cells(m, cells + [((1, 1), neighbor_square)]), r
 
 
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
+
+    The tables come from ``_iter_self_case_tables``, which builds only
+    what conditions (1)-(4) admit: one loop over the fixed elements (1),
+    one over the fixed elements that square to 0 (3), one over where the
+    pendant sends each other element (2), one over the squares (2) and
+    (3) leave, and one over the neighbor's square (4).
 
     Every emitted table puts the pendant at m and its neighbor at 1, and an
     isomorphism between two such tables must keep both, so it relabels

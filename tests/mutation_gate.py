@@ -119,6 +119,27 @@ GUARDS = (
           "not is_zd_semigroup(table)"),
     Guard("cached-class-realizes", "reports.py", "_check_cached_class", "drop",
           "realizes(table, target) is None"),
+    # input refusals, each with the message or exception type it promises
+    Guard("permute-table-needs-a-permutation", "tables.py", "permute_table", "drop",
+          "sorted(perm) != list(range(m + 1)) or perm[0] != 0 "
+          "or not _INT_ONLY.issuperset(map(type, perm))"),
+    Guard("table-from-key-needs-a-triangle", "classify.py", "table_from_key", "drop",
+          "m * (m + 1) // 2 != length"),
+    Guard("hex-key-values-at-most-15", "classify.py", "key_to_hex", "drop",
+          "any(v > MAX_HEX_ELEMENTS for v in key)"),
+    Guard("pendant-layout-needs-a-pendant", "counting.py", "_pendant_layout", "drop",
+          "rec is None"),
+    Guard("clique-count-needs-size-1", "counting.py", "clique_class_count", "drop", "n < 1"),
+    Guard("clique-generator-needs-size-1", "counting.py", "generate_clique_classes", "drop",
+          "n < 1"),
+    Guard("complete-graph-target-needs-size-1", "reports.py", "sized_target", "drop",
+          'kind == "kn" and n < 1'),
+    Guard("verify-range-ordered-from-1", "reports.py", "run_verification", "drop",
+          "lo < 1 or hi < lo"),
+    Guard("equivalence-seed-realizes-target", "reports.py", "_equivalence_counterexamples",
+          "drop", "recognition is None"),
+    Guard("enumerate-case-needs-a-pendant-target", "cli.py", "cmd_enumerate", "drop",
+          'args.case and args.graph != "kn1"'),
 )
 
 # Mutants that can only cost time, so no test can catch them; listed, not run.

@@ -130,6 +130,19 @@ def test_key_shape_and_reconstruction():
     assert key_from_hex(key_to_hex(key)) == key
 
 
+@pytest.mark.parametrize("key", [(0, 0), (0, 0, 0, 0), (0,) * 7])
+def test_table_from_key_refuses_a_key_that_is_not_a_triangle(key):
+    with pytest.raises(UsageError, match=f"key length {len(key)} is not a triangular number"):
+        table_from_key(key)
+
+
+def test_key_to_hex_refuses_a_value_above_15():
+    # one hex digit per value: 16 would read back as two values
+    assert key_to_hex((1, 15, 0)) == "1f0"
+    with pytest.raises(UsageError, match="hex keys support at most 15 nonzero elements"):
+        key_to_hex((1, 16, 0))
+
+
 def test_catalog_insert_and_multiplicity():
     catalog = ClassCatalog()
     t = clique_table([0, 0])

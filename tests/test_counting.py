@@ -83,6 +83,12 @@ def test_clique_class_count_values():
     assert clique_class_count(1) == 2
 
 
+@pytest.mark.parametrize("refused", [clique_class_count, generate_clique_classes])
+def test_clique_counts_refuse_size_0_with_their_own_message(refused):
+    with pytest.raises(UsageError, match="clique size must be >= 1"):
+        refused(0)
+
+
 def test_clique_class_count_matches_listed_partitions_up_to_40():
     listed = {
         (total, parts): sum(1 for _ in iter_partitions_exact(total, parts))
@@ -207,6 +213,13 @@ def test_clique_equivalence_exhaustive_n3():
 # pendant cases
 
 
+def test_pendant_case_of_a_clique_table_is_a_usage_error():
+    # K_4 is no complete graph plus a pendant, and K_2 (m = 2) is too small to be one
+    for table in (clique_table([0, 0, 0, 0]), clique_table([0, 0])):
+        with pytest.raises(UsageError, match="does not realize a complete graph with one pendant"):
+            pendant_square_case(table)
+
+
 def test_zero_case_counts_and_validity():
     for n in (3, 4):
         catalog = generate_pendant_square_zero(n)
@@ -329,6 +342,12 @@ def test_equivalence_row_equals_its_definition_under_a_wrong_check(monkeypatch):
     assert reports._equivalence_counterexamples(3) == definition
 
 
+def test_equivalence_row_refuses_a_seed_that_does_not_realize_its_target(monkeypatch):
+    monkeypatch.setattr(reports, "realizes", lambda table, target: None)
+    with pytest.raises(RuntimeError, match="the seed of .* does not realize it"):
+        reports._equivalence_counterexamples(3)
+
+
 def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
     # every 7th candidate of n=3 covers all four cases, passing and failing;
     # the graph is recognized once per distinct zero pattern, not per table
@@ -394,6 +413,52 @@ def test_self_generator_refuses_a_fixed_point_count_that_varies_on_a_class(monke
     monkeypatch.setattr(counting, "_iter_self_case_tables", shifted)
     with pytest.raises(RuntimeError, match="fixed-point count is not constant on a class"):
         generate_pendant_square_self(4)
+
+
+def _assert_generators_list_the_oracle_leaves(monkeypatch, n, self_count, other_count):
+    """Table by table, with no canonical form: every oracle leaf meets its
+    case's conditions, the x*x = x iterator yields exactly the leaves with
+    x*x = x, the other-case generator inserts exactly those with x*x = 2,
+    and every table the zero and attach generators insert is a leaf."""
+    m = n + 1
+    leaves = []
+    enumerate_labeled(CompletePlusEnd(n), leaves.append, allow_long_run=True)
+    assert all(map(pendant_conditions_hold, leaves))
+    leaf_codes = {table.code for table in leaves}
+    assert len(leaf_codes) == len(leaves)
+
+    def leaf_codes_with_square(square):
+        return sorted(table.code for table in leaves if table.entries[m][m] == square)
+
+    self_codes = sorted(table.code for table, _ in counting._iter_self_case_tables(n))
+    assert len(self_codes) == self_count
+    assert self_codes == leaf_codes_with_square(m)
+
+    validated = counting._validated
+    inserted = []
+    monkeypatch.setattr(counting, "_validated",
+                        lambda table, target: inserted.append(table.code) or validated(table, target))
+    generate_pendant_square_other(n)
+    assert len(inserted) == other_count
+    assert sorted(inserted) == leaf_codes_with_square(2)
+    inserted.clear()
+    generate_pendant_square_zero(n)
+    generate_pendant_square_attach(n)
+    assert len(inserted) == 2 * n
+    assert set(inserted) <= leaf_codes
+
+
+@pytest.mark.parametrize("n, self_count, other_count", [(3, 18, 5), (4, 115, 12), (5, 880, 28)])
+def test_generators_list_the_oracle_leaves_table_by_table(monkeypatch, n, self_count, other_count):
+    _assert_generators_list_the_oracle_leaves(monkeypatch, n, self_count, other_count)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the kn1 n=6 oracle leaves are listed only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+def test_generators_list_the_oracle_leaves_long_run_n6(monkeypatch):
+    _assert_generators_list_the_oracle_leaves(monkeypatch, 6, 7969, 64)
 
 
 def test_case_catalogs_pairwise_disjoint():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zdsemigroups import counting
+from zdsemigroups import counting, reports
 from zdsemigroups.classify import canonical_form, key_from_hex, key_to_hex, table_from_key
 from zdsemigroups.cli import main
 from zdsemigroups.counting import PENDANT_CASES, pendant_case_breakdown
@@ -238,11 +238,15 @@ def test_cli_enumerate_csv_and_dot(tmp_path, capsys):
     assert "// class 0:" in text and "x1;" in text
 
 
-def test_cli_enumerate_case_requires_kn1(capsys):
-    code = main(["enumerate", "--graph", "kn", "--n", "3",
-                 "--case", "zero", "--out", "/tmp/unused.json"])
-    capsys.readouterr()
-    assert code == 2
+def test_cli_enumerate_case_requires_kn1(tmp_path, capsys):
+    out_path = tmp_path / "unused.json"
+    for case in ("zero", "self"):
+        code = main(["enumerate", "--graph", "kn", "--n", "3",
+                     "--case", case, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --case applies to pendant targets only\n"
+        assert not out_path.exists()
 
 
 def test_cli_enumerate_io_error(tmp_path, capsys):
@@ -333,12 +337,49 @@ def test_cli_verify_refuses_n_above_the_size_limit(capsys, text):
     assert captured.err == "error: targets need n <= 4000\n"
 
 
+@pytest.mark.parametrize("text", ["5..3", "0..2", "0"])
+def test_cli_verify_range_out_of_order_or_below_1_exits_2(capsys, text):
+    code = main(["verify", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: range must satisfy 1 <= lo <= hi\n"
+
+
+def test_count_refuses_a_complete_graph_of_size_0_with_its_own_message(capsys):
+    code = main(["count", "--graph", "kn", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: complete graphs need n >= 1\n"
+
+
 def test_verify_boundary_findings():
     rows, code = run_verification(1, 2)
     assert code == 0
     findings = [r for r in rows if r.status == "FINDING"]
     assert any("n=1" in r.label and "oracle=1 formula=2" in r.detail for r in findings)
     assert any("n=2" in r.label and "oracle=4 formula=4" in r.detail for r in findings)
+
+
+INVARIANCE_ROW = "canonical form invariance (200 sampled relabelings)"
+
+
+def test_verify_invariance_row_keys_each_pool_table_once(monkeypatch):
+    # one key for each of the 23 kn n=3 tables, and one for each of the 200 relabelings
+    keyed = []
+    key = reports.canonical_form
+    monkeypatch.setattr(reports, "canonical_form", lambda table: keyed.append(table) or key(table))
+    rows, code = run_verification(1, 1)
+    row = next(r for r in rows if r.label == INVARIANCE_ROW)
+    assert (row.status, row.detail, code) == ("PASS", "invariant", 0)
+    assert len(keyed) == 23 + 200
+
+
+def test_verify_invariance_row_fails_on_a_key_that_moves_with_the_labels(monkeypatch):
+    monkeypatch.setattr(reports, "canonical_form", lambda table: table.code)
+    rows, code = run_verification(1, 1)
+    row = next(r for r in rows if r.label == INVARIANCE_ROW)
+    assert (row.status, row.detail, code) == ("FAIL", "violated", 1)
 
 
 def test_verify_render_deterministic():

@@ -109,6 +109,14 @@ def test_permutation_equivariance_of_witnesses():
             assert lhs == perm[w.lhs] and rhs == perm[w.rhs]
 
 
+@pytest.mark.parametrize("perm", [[0, 1, 1], [0, True, 2], [1, 0, 2], [0, 2], [0, 2, 1, 3]])
+def test_permute_table_refuses_what_is_not_a_permutation_of_0_to_m_fixing_0(perm):
+    table = clique_table([2, 0])
+    with pytest.raises(UsageError, match="perm must be a permutation of 0..m fixing 0"):
+        permute_table(table, perm)
+    assert permute_table(table, [0, 2, 1]) == clique_table([0, 1])
+
+
 def test_zero_divisors():
     nilpotent = MulTable.from_rows([[0, 0], [0, 0]])
     idempotent = MulTable.from_rows([[0, 0], [0, 1]])
