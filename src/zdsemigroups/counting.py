@@ -30,7 +30,7 @@ value is kept in ``TABULATED_COUNTS`` and reported as a discrepancy.
 
 The "self" case is stratified by r, the number of clique elements i >= 2
 with i*x = i (the elements fixed by the pendant).  Its conditions (1)-(4)
-(see ``_self_holds``) fix a class by three things, in the same way the
+(see ``_self_choices``) fix a class by three things, in the same way the
 square profile fixes a clique class:
 
 - t idempotent fixed points;
@@ -71,14 +71,15 @@ So stratum 2 counts 2s + 5 + floor(s/2) + (C(s + 3, 3) + [s even](s/2 + 1))/2
 classes, plus 2 more at n = 3; the tests check this against
 ``self_stratum_counts`` up to n = 40.
 
-The x*x = x generator builds its labelled tables from the same
-conditions, one loop per choice (``_iter_self_case_tables``): condition
-(1) drives the loop over the fixed elements, (3) the loop over which of
-them square to 0, (2) the loop over where the pendant sends each other
-element, (2) and (3) the loop over the squares left, and (4) the loop
-over the neighbor's square.  ``pendant_conditions_hold`` checks the
-conditions on a given table; the tests tie the two together table by
-table against the brute-force search.
+Each listing case states its conditions once, as the pendant products
+and squares it allows each clique element other than the neighbor:
+``_self_choices`` states (1)-(3) of x*x = x given the fixed elements and
+those that square to 0, ``_neighbor_squares`` states (4), and
+``_other_choices`` states the x*x = j sub-cases given j*x.  The checks
+(``_self_holds``, ``_other_holds``) read those choices off a table and
+test it against the statement; the generators (``_iter_self_case_tables``,
+``generate_pendant_square_other``) list every table it allows.  The
+tests tie both to the brute-force search, table by table.
 
 The formula method prefers the stated ``STRATUM_RULES`` where they
 cover a stratum, so a wrong stated value shows as a deviation from the
@@ -300,92 +301,78 @@ def pendant_fixed_points(table: MulTable) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pendant case checks (on tables with the forced zero pattern)
+# pendant case statements and checks (on tables with the forced zero pattern)
 #
-# Each ``_*_holds`` body takes the pendant and neighbor from
-# ``pendant_case_holds``, which picks the body by the pendant's square.
+# A statement lists, for each clique element i other than the neighbor,
+# the pendant products and squares it allows: ``(i, products, squares)``.
+# ``_allows`` checks a table against one, and ``_listed`` lists every
+# choice it allows, so the checks and the generators read the same one.
 
 
-def _sent_to_neighbor(ent, elements: list[int], pendant: int, neighbor: int) -> bool:
-    """The neighbor squares to 0, and the pendant sends each of ``elements``
-    to the neighbor, which squares to 0 or the neighbor."""
-    return ent[neighbor][neighbor] == 0 and all(
-        ent[i][pendant] == neighbor and ent[i][i] in (0, neighbor) for i in elements
-    )
+def _allows(ent, pendant: int, statement: list) -> bool:
+    """Whether each element's pendant product and square are among those allowed."""
+    return all(ent[i][pendant] in products and ent[i][i] in squares
+               for i, products, squares in statement)
 
 
-def _pointer_family_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
+def _listed(pendant: int, statement: list) -> Iterator[tuple[list, tuple]]:
+    """Each choice of one product and one square per element: its cells and its squares."""
+    cells = [(i, pendant) for i, _, _ in statement] + [(i, i) for i, _, _ in statement]
+    domains = [products for _, products, _ in statement] + [squares for _, _, squares in statement]
+    for values in itertools.product(*domains):
+        yield list(zip(cells, values)), values[len(statement):]
+
+
+def _self_choices(others, fixed, zeros: tuple, neighbor: int) -> list:
+    """x*x = x, given the fixed elements F and the subset Z of F that squares to 0.
+
+    (3) a fixed element is its own pendant product, and squares to 0 if
+    it is in Z, otherwise to itself or an element of Z; (2) any other
+    element is sent into Z and squares to 0 or the neighbor.  (1) follows,
+    as Z is empty unless an element is fixed.  Non-fixed elements come first.
+    """
+    return [(i, (i,), (0,) if i in zeros else (i, *zeros)) if i in fixed
+            else (i, zeros, (0, neighbor)) for i in sorted(others, key=fixed.__contains__)]
+
+
+def _neighbor_squares(squares, neighbor: int) -> tuple:
+    """(4) the neighbor squares to 0, or to itself when no other element does."""
+    return (0,) if neighbor in squares else (0, neighbor)
+
+
+def _other_choices(others, j: int, jx: int, neighbor: int) -> list:
+    """x*x = j, given jx = j*x: j squares to 0 when jx is the neighbor and
+    to itself when jx = j, and otherwise to the neighbor while jx squares
+    to 0; every other element is sent to the neighbor and squares to 0 or
+    the neighbor."""
+    return [(j, (jx,), (0,) if jx == neighbor else (j,) if jx == j else (neighbor,))] + [
+        (i, (neighbor,), (0,) if i == jx else (0, neighbor)) for i in others if i != j]
+
+
+def _pointer_family_holds(ent, pendant: int, neighbor: int, others: list) -> bool:
     """x*x = 0 and x*x = neighbor cases: the neighbor squares to 0, and the
     pendant sends every other clique element to the neighbor; each of those
     squares to 0 or the neighbor."""
-    others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
-    return _sent_to_neighbor(table.entries, others, pendant, neighbor)
+    return ent[neighbor][neighbor] == 0 and _allows(
+        ent, pendant, [(i, (neighbor,), (0, neighbor)) for i in others])
 
 
-def _self_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
-    """x*x = x case: the four structure conditions.
-
-    (1) every non-neighbor clique element is sent by the pendant into the
-        non-neighbor clique, and at least one is fixed;
-    (2) a non-fixed element maps to a fixed element that squares to 0,
-        and itself squares to 0 or the neighbor;
-    (3) a fixed element squares to 0, itself, or a fixed element that
-        squares to 0;
-    (4) the neighbor squares to 0 or itself, and to 0 whenever some
-        other element squares to the neighbor.
-    """
-    ent = table.entries
-    others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
-    other_set = set(others)
-    prod = {i: ent[i][pendant] for i in others}
-    # (1)
-    if any(prod[i] not in other_set for i in others):
-        return False
-    fixed = {i for i in others if prod[i] == i}
-    if not fixed:
-        return False
-    # (2)
-    for i in others:
-        j = prod[i]
-        if j == i:
-            continue
-        if j not in fixed or ent[j][j] != 0:
-            return False
-        if ent[i][i] not in (0, neighbor):
-            return False
-    # (3)
-    for r in fixed:
-        sq = ent[r][r]
-        if sq in (0, r):
-            continue
-        if sq not in other_set:
-            return False
-        if sq not in fixed or ent[sq][sq] != 0:
-            return False
-    # (4)
-    nb_sq = ent[neighbor][neighbor]
-    if nb_sq not in (0, neighbor):
-        return False
-    if nb_sq == neighbor and any(ent[i][i] == neighbor for i in others):
-        return False
-    return True
+def _self_holds(ent, pendant: int, neighbor: int, others: list) -> bool:
+    """x*x = x case: F and Z read off the table meet ``_self_choices`` and
+    ``_neighbor_squares``."""
+    fixed = {i for i in others if ent[i][pendant] == i}
+    zeros = tuple(i for i in others if i in fixed and ent[i][i] == 0)
+    return _allows(ent, pendant, _self_choices(others, fixed, zeros, neighbor)) and (
+        ent[neighbor][neighbor] in _neighbor_squares({ent[i][i] for i in others}, neighbor))
 
 
-def _other_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
-    """x*x = j for a non-neighbor clique element j: three sub-cases for j."""
-    ent = table.entries
+def _other_holds(ent, pendant: int, neighbor: int, others: list) -> bool:
+    """x*x = j for a clique element j: the neighbor squares to 0, jx = j*x is
+    the neighbor or a clique element, and the table meets ``_other_choices``."""
     j = ent[pendant][pendant]
-    others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor, j)]
-    if not _sent_to_neighbor(ent, others, pendant, neighbor):
-        return False
     jx = ent[j][pendant]
-    if jx == neighbor:
-        return ent[j][j] == 0
-    if jx == j:
-        return ent[j][j] == j
-    if jx in others:
-        return ent[j][j] == neighbor and ent[jx][jx] == 0
-    return False
+    return (ent[neighbor][neighbor] == 0 and (jx == neighbor or jx in others)
+            and _allows(ent, pendant, _other_choices(others, j, jx, neighbor)))
 
 
 _CASE_HOLDS = {
@@ -399,8 +386,9 @@ _CASE_HOLDS = {
 def pendant_case_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
     """Run the case check chosen by the pendant's square, for a table whose
     graph is already known to be a clique plus ``pendant`` on ``neighbor``."""
-    case = _square_case(table.entries, pendant, neighbor)
-    return _CASE_HOLDS[case](table, pendant, neighbor)
+    ent = table.entries
+    others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
+    return _CASE_HOLDS[_square_case(ent, pendant, neighbor)](ent, pendant, neighbor, others)
 
 
 def pendant_conditions_hold(table: MulTable) -> bool:
@@ -460,22 +448,16 @@ def generate_pendant_square_attach(n: int) -> ClassCatalog:
 
 
 def generate_pendant_square_other(n: int) -> ClassCatalog:
-    """x*x = 2 family: all labelled tables satisfying the three sub-cases."""
+    """x*x = 2 family: every labelled table ``_other_choices`` allows, for
+    each jx = 2x: the neighbor, 2 itself, or another clique element."""
     _require_pendant_size(n)
     m = n + 1
     catalog = ClassCatalog()
-    rest = list(range(3, n + 1))
-
-    def emit(px2: int, sq2: int, free: list[int]) -> None:
-        base = [((m, m), 2), ((2, m), px2), ((2, 2), sq2)] + [((i, m), 1) for i in rest]
-        for squares in itertools.product((0, 1), repeat=len(free)):
-            cells = base + [((i, i), sq) for i, sq in zip(free, squares)]
-            catalog.insert(_validated(MulTable.from_cells(m, cells), CompletePlusEnd(n)))
-
-    emit(1, 0, rest)  # pendant sends 2 to the neighbor
-    emit(2, 2, rest)  # pendant fixes 2, which is idempotent
-    for r in rest:  # pendant sends 2 to another clique element r, which squares to 0
-        emit(r, 1, [i for i in rest if i != r])
+    others = range(2, n + 1)
+    for jx in (1, *others):
+        for cells, _ in _listed(m, _other_choices(others, 2, jx, 1)):
+            catalog.insert(_validated(MulTable.from_cells(m, [((m, m), 2)] + cells),
+                                      CompletePlusEnd(n)))
     return catalog
 
 
@@ -493,46 +475,28 @@ class PendantSelfResult(NamedTuple):
 def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
     """All labelled tables meeting the x*x = x conditions, with their r.
 
-    Each loop makes one choice that the conditions of ``_self_holds``
-    allow, so every table built is yielded, once:
-
-    - the r fixed elements among 2..n (1);
-    - the fixed elements that square to 0 (3);
-    - where the pendant sends each non-fixed element: to a fixed element
-      that squares to 0 (2);
-    - the squares left: a non-fixed element squares to 0 or the neighbor
-      (2), any other fixed element to itself or a fixed element that
-      squares to 0 (3);
-    - the neighbor's square: 0, or the neighbor when no other element
-      squares to it (4).
+    For each choice of the r fixed elements among 2..n and of the subset
+    Z of them that squares to 0, ``_listed`` lists every product and
+    square ``_self_choices`` allows, and the neighbor's square is chosen
+    last from ``_neighbor_squares``; so every table built is yielded, once.
     """
     m = n + 1
     others = range(2, n + 1)
     for r in range(1, n):
         for fixed in itertools.combinations(others, r):
-            moved = [i for i in others if i not in fixed]
-            head = [((m, m), m)] + [((i, m), i) for i in fixed]
             for zeros in itertools.chain.from_iterable(
                     itertools.combinations(fixed, k) for k in range(r + 1)):
-                rest = [i for i in fixed if i not in zeros]
-                diagonal = [(i, i) for i in moved + rest]
-                domains = [(0, 1)] * len(moved) + [(i, *zeros) for i in rest]
-                for images in itertools.product(zeros, repeat=len(moved)):
-                    sent = head + list(zip(((i, m) for i in moved), images))
-                    for squares in itertools.product(*domains):
-                        cells = sent + list(zip(diagonal, squares))
-                        for neighbor_square in (0,) if 1 in squares else (0, 1):
-                            yield MulTable.from_cells(m, cells + [((1, 1), neighbor_square)]), r
+                for cells, squares in _listed(m, _self_choices(others, fixed, zeros, 1)):
+                    for neighbor_square in _neighbor_squares(squares, 1):
+                        yield MulTable.from_cells(
+                            m, [((m, m), m), ((1, 1), neighbor_square), *cells]), r
 
 
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
 
-    The tables come from ``_iter_self_case_tables``, which builds only
-    what conditions (1)-(4) admit: one loop over the fixed elements (1),
-    one over the fixed elements that square to 0 (3), one over where the
-    pendant sends each other element (2), one over the squares (2) and
-    (3) leave, and one over the neighbor's square (4).
+    The tables come from ``_iter_self_case_tables``, which lists what
+    ``_self_choices`` and ``_neighbor_squares``, conditions (1)-(4), allow.
 
     Every emitted table puts the pendant at m and its neighbor at 1, and an
     isomorphism between two such tables must keep both, so it relabels

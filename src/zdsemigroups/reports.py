@@ -82,9 +82,8 @@ def target_for(kind: str, n: int) -> TargetGraph:
 
 
 def sized_target(kind: str, n: int) -> TargetGraph:
-    """The target graph, refused with ``UsageError`` below the sizes the pipelines cover."""
-    if kind == "kn" and n < 1:
-        raise UsageError("complete graphs need n >= 1")
+    """The target graph, refused with ``UsageError`` below the sizes the pipelines
+    cover: ``CompleteK`` refuses n < 1, and pendant targets are refused below 3."""
     if kind == "kn1" and n < 3:
         raise UsageError("pendant targets need n >= 3")
     return target_for(kind, n)

@@ -17,9 +17,11 @@ function (nested functions included):
 Only the matched text is replaced, so every other byte of the file and
 every line number stay as they are.  For each guard the gate copies the
 tree to a fresh temporary directory, applies the edit there and runs
-tier-1 serially with ``-x``.  A failing run means a test caught the
-mutant; a passing run means it survived.  Before the guards, the
-unmutated copy must pass, or no verdict would mean anything.
+tier-1 with ``-x``.  A failing run means a test caught the mutant; a
+passing run means it survived.  Before the guards, the unmutated copy
+must pass, or no verdict would mean anything.  The guards' runs then go
+side by side, one per CPU (``os.cpu_count()``), each in its own copy;
+their verdicts print in ``GUARDS`` order.
 
 Exit status: 0 when every guard is caught, 1 when any survives, 2 when
 the unmutated tree fails or a guard's ``match`` does not name exactly
@@ -37,6 +39,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 from typing import NamedTuple
@@ -98,6 +101,15 @@ GUARDS = (
     Guard("self-case-r-constant", "counting.py", "generate_pendant_square_self", "drop",
           "key_fixed.setdefault(key, r) != r"),
     Guard("orbit-keyer-closed", "classify.py", "OrbitKeyer.check_closed", "drop", "self._pending"),
+    # the pendant case statements, which the checks and the generators share
+    Guard("self-case-zeros-square-to-0", "counting.py", "_self_choices", "flip", "i in zeros"),
+    Guard("self-case-neighbor-square", "counting.py", "_neighbor_squares", "flip",
+          "neighbor in squares"),
+    Guard("other-case-jx-squares-to-0", "counting.py", "_other_choices", "flip", "i == jx"),
+    Guard("other-case-jx-in-the-clique", "counting.py", "_other_holds", "true",
+          "jx == neighbor or jx in others"),
+    Guard("pointer-family-neighbor-squares-to-0", "counting.py", "_pointer_family_holds", "flip",
+          "ent[neighbor][neighbor] == 0"),
     # every check a cache entry passes before it is a hit
     Guard("cache-entry-is-an-object", "reports.py", "ResultsCache.get_catalog", "drop",
           "not isinstance(obj, dict)"),
@@ -132,8 +144,9 @@ GUARDS = (
     Guard("clique-count-needs-size-1", "counting.py", "clique_class_count", "drop", "n < 1"),
     Guard("clique-generator-needs-size-1", "counting.py", "generate_clique_classes", "drop",
           "n < 1"),
-    Guard("complete-graph-target-needs-size-1", "reports.py", "sized_target", "drop",
-          'kind == "kn" and n < 1'),
+    Guard("complete-graph-needs-size-1", "graphs.py", "CompleteK.__init__", "drop", "n < 1"),
+    Guard("table-cells-within-1-to-m", "tables.py", "MulTable.from_cells", "drop",
+          "not (0 < u <= m and 0 < v <= m)"),
     Guard("verify-range-ordered-from-1", "reports.py", "run_verification", "drop",
           "lo < 1 or hi < lo"),
     Guard("equivalence-seed-realizes-target", "reports.py", "_equivalence_counterexamples",
@@ -223,15 +236,17 @@ def run_tier1(tree: Path) -> tuple[bool, str]:
     return result.returncode == 0, lines[-1]
 
 
-def trial(guard: Guard | None, scratch: Path) -> tuple[bool, str]:
-    """Tier-1 on a fresh copy of the tree, with the guard's edit if one is given."""
+def trial(guard: Guard | None, scratch: Path) -> tuple[bool, str, float]:
+    """Tier-1 on a fresh copy of the tree, with the guard's edit if one is
+    given: (passed, last line of pytest's output, seconds taken)."""
+    t0 = perf_counter()
     tree = Path(tempfile.mkdtemp(dir=scratch))
     try:
         shutil.copytree(ROOT, tree, dirs_exist_ok=True, ignore=IGNORED)
         if guard is not None:
             path = tree / PACKAGE / guard.module
             path.write_text(mutate(guard, path.read_text()))
-        return run_tier1(tree)
+        return (*run_tier1(tree), perf_counter() - t0)
     finally:
         shutil.rmtree(tree, ignore_errors=True)
 
@@ -250,19 +265,19 @@ def main(names: list[str]) -> int:
         return 2
     started = perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as scratch:
-        passed, summary = trial(None, Path(scratch))
+        passed, summary, _ = trial(None, Path(scratch))
         print(f"{'control':<40} {'passes' if passed else 'FAILS'}: {summary}", flush=True)
         if not passed:
             return 2
         survivors = []
-        for guard in guards:
-            t0 = perf_counter()
-            passed, summary = trial(guard, Path(scratch))
-            verdict = "SURVIVED" if passed else "caught"
-            print(f"{guard.name:<40} {verdict} in {perf_counter() - t0:.1f} s: {summary}",
-                  flush=True)
-            if passed:
-                survivors.append(guard.name)
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            # map yields in GUARDS order, each verdict as soon as it and those before it are in
+            for guard, (passed, summary, seconds) in zip(
+                    guards, pool.map(trial, guards, [Path(scratch)] * len(guards))):
+                verdict = "SURVIVED" if passed else "caught"
+                print(f"{guard.name:<40} {verdict} in {seconds:.1f} s: {summary}", flush=True)
+                if passed:
+                    survivors.append(guard.name)
     for name, reason in NOT_RUN:
         print(f"{name:<40} not run: {reason}")
     print(f"{len(guards) - len(survivors)} of {len(guards)} guards caught, "

@@ -150,6 +150,65 @@ def test_clique_labelled_count_closed_form_matches_oracle():
     assert (clique_labelled_count(1), enumerate_labeled(CompleteK(1))) == (2, 1)
 
 
+def pendant_labelled_counts(n):
+    """Labelled kn1 tables of each case in closed form, from the cases' conditions.
+
+    zero and attach: each of the n-1 other clique elements squares to 0 or
+    the neighbor.  x*x = j, for each of the n-1 choices of j: with j*x the
+    neighbor or j, the n-2 others square freely; with j*x one of the n-2
+    others, that one squares to 0.  x*x = x: r fixed elements, z of them
+    squaring to 0 and the rest to themselves or one of the z; each of the
+    n-1-r others is sent to one of the z and squares to 0 or the neighbor,
+    and the neighbor squares to itself too when none of them does.
+    """
+    pointer = 2 ** (n - 1)
+    self_count = sum(
+        math.comb(n - 1, r) * math.comb(r, z) * (1 + z) ** (r - z)
+        * ((2 * z) ** (n - 1 - r) + z ** (n - 1 - r))  # 0 ** 0 == 1
+        for r in range(1, n) for z in range(r + 1))
+    other = (n - 1) * (2 ** (n - 1) + (n - 2) * 2 ** (n - 3))
+    return {"zero": pointer, "self": self_count, "attach": pointer, "other": other}
+
+
+def oracle_labelled_counts(n):
+    """The oracle's leaves counted by the pendant's square, with no classification."""
+    m = n + 1
+    squares = Counter()
+    enumerate_labeled(CompletePlusEnd(n), lambda t: squares.update((t.entries[m][m],)),
+                      allow_long_run=True)
+    cases = {0: "zero", m: "self", 1: "attach"}
+    counts = dict.fromkeys(("zero", "self", "attach", "other"), 0)
+    for square, count in squares.items():
+        counts[cases.get(square, "other")] += count
+    return counts
+
+
+PENDANT_LABELLED = {  # n: (zero, self, attach, other), total
+    3: ((4, 18, 4, 10), 36), 4: ((8, 115, 8, 36), 167), 5: ((16, 880, 16, 112), 1024),
+    6: ((32, 7969, 32, 320), 8353), 7: ((64, 83768, 64, 864), 84760),
+}
+
+
+def _assert_pendant_labelled_counts_match_oracle(n):
+    counts = pendant_labelled_counts(n)
+    assert oracle_labelled_counts(n) == counts
+    per_case, total = PENDANT_LABELLED[n]
+    assert tuple(counts.values()) == per_case and sum(per_case) == total
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pendant_labelled_counts_closed_form_match_oracle(n):
+    _assert_pendant_labelled_counts_match_oracle(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the kn1 n=7 oracle runs only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+def test_pendant_labelled_counts_closed_form_match_oracle_long_run_n7():
+    _assert_pendant_labelled_counts_match_oracle(7)
+
+
 def automorphism_count(table):
     """|Aut(T)| by brute force: relabelings p of 1..m with p(uv) = p(u)p(v)."""
     ent, m = table.entries, table.m

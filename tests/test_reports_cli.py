@@ -346,11 +346,15 @@ def test_cli_verify_range_out_of_order_or_below_1_exits_2(capsys, text):
     assert captured.err == "error: range must satisfy 1 <= lo <= hi\n"
 
 
-def test_count_refuses_a_complete_graph_of_size_0_with_its_own_message(capsys):
-    code = main(["count", "--graph", "kn", "--n", "0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: complete graphs need n >= 1\n"
+def test_count_refuses_a_complete_graph_of_size_0_with_its_own_message(capsys, tmp_path):
+    # count, enumerate and export-dot all give CompleteK's one refusal
+    for command in ("count", "enumerate", "export-dot"):
+        out = tmp_path / command
+        code = main([command, "--graph", "kn", "--n", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: complete graph needs n >= 1\n"
+        assert not out.exists()
 
 
 def test_verify_boundary_findings():

@@ -228,6 +228,21 @@ def test_from_cells_mirrors_listed_products():
         assert str(from_cells_error.value) == str(from_rows_error.value)
 
 
+# unchecked, the first wraps onto (1, 1) and gives the null table, the
+# second is an IndexError, and the last two land on a zero-row and an
+# asymmetric cell, refused for what they are not
+@pytest.mark.parametrize("cells", [
+    [((1, 1), 1), ((2, -3), 0)],
+    [((1, 4), 1)],
+    [((0, 2), 1)],
+    [((2, -1), 1)],
+], ids=lambda cells: str(cells[-1][0]))
+def test_from_cells_refuses_a_cell_outside_1_to_m(cells):
+    with pytest.raises(UsageError) as error:
+        MulTable.from_cells(3, cells)
+    assert str(error.value) == f"cell {cells[-1][0]} outside 1..3"
+
+
 def test_code_is_the_rows_joined_for_every_producer():
     pointed = clique_table([2, 0, 1])
     leaves = []
