@@ -383,18 +383,13 @@ _CASE_HOLDS = {
 }
 
 
-def pendant_case_holds(table: MulTable, pendant: int, neighbor: int) -> bool:
-    """Run the case check chosen by the pendant's square, for a table whose
-    graph is already known to be a clique plus ``pendant`` on ``neighbor``."""
+def pendant_conditions_hold(table: MulTable) -> bool:
+    """Run the case check chosen by the pendant's square on the table's own
+    layout; ``UsageError`` unless its graph is a clique plus one pendant."""
+    _, pendant, neighbor = _pendant_layout(table)
     ent = table.entries
     others = [i for i in range(1, table.m + 1) if i not in (pendant, neighbor)]
     return _CASE_HOLDS[_square_case(ent, pendant, neighbor)](ent, pendant, neighbor, others)
-
-
-def pendant_conditions_hold(table: MulTable) -> bool:
-    """Recognize the graph once, then run ``pendant_case_holds`` on its layout."""
-    _, pendant, neighbor = _pendant_layout(table)
-    return pendant_case_holds(table, pendant, neighbor)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .counting import (
     iter_partitions_exact,
     pendant_case_breakdown,
     pendant_case_formula,
-    pendant_case_holds,
+    pendant_conditions_hold,
     pendant_fixed_points,
     pendant_square_case,
     pendant_total_formula,
@@ -549,25 +549,9 @@ def _verify_target(rows: list[VerifyRow], kind: str, n: int, allow_long_run: boo
 
 def _equivalence_counterexamples(n: int):
     """Tables over the forced pattern where associativity and the case
-    conditions disagree, in candidate order.
-
-    This is ``[t for t in candidates if (check_associativity(t) is None)
-    != pendant_conditions_hold(t)]`` with the graph recognized once.
-    Every candidate completes the same seed and so has the same labelled
-    graph (see ``iter_candidate_tables``), so one recognition, of the
-    first candidate, gives every candidate's pendant and neighbor.
-    ``RuntimeError`` if that candidate does not realize the target.
-    """
-    target = target_for("kn1", n)
-    spec = seed_partial_table(target)
-    recognition = realizes(next(iter_candidate_tables(spec)), target)
-    if recognition is None:
-        raise RuntimeError(f"the seed of {target} does not realize it")
-    pendant, neighbor = recognition.pendant, recognition.neighbor
-    return [
-        table for table in iter_candidate_tables(spec)
-        if (check_associativity(table) is None) != pendant_case_holds(table, pendant, neighbor)
-    ]
+    conditions disagree, in candidate order."""
+    return [t for t in iter_candidate_tables(seed_partial_table(target_for("kn1", n)))
+            if (check_associativity(t) is None) != pendant_conditions_hold(t)]
 
 
 def _ideal_violations(catalog: ClassCatalog, target: TargetGraph):

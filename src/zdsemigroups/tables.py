@@ -144,14 +144,14 @@ class MulTable:
         """Table on 0..m with each listed ``((u, v), value)`` product written
         at (u, v) and (v, u); every other product is 0.
 
-        The products are written into one flat byte grid, so a cell outside
-        1..m, or a value that is not an ``int`` or does not fit a byte, is
-        refused as it is met.
+        The products are written into one flat byte grid, so a cell that is
+        not a pair of ``int`` in 1..m, or a value that is not an ``int`` or
+        does not fit a byte, is refused as it is met.
         """
         size = m + 1
         code = bytearray(size * size)
         for (u, v), value in cells:
-            if not (0 < u <= m and 0 < v <= m):
+            if not (type(u) is type(v) is int and 0 < u <= m and 0 < v <= m):
                 raise UsageError(f"cell {(u, v)} outside 1..{m}")
             if type(value) is not int or not 0 <= value <= MAX_ELEMENTS:
                 raise _entry_error([value], m)

@@ -18,10 +18,16 @@ Only the matched text is replaced, so every other byte of the file and
 every line number stay as they are.  For each guard the gate copies the
 tree to a fresh temporary directory, applies the edit there and runs
 tier-1 with ``-x``.  A failing run means a test caught the mutant; a
-passing run means it survived.  Before the guards, the unmutated copy
-must pass, or no verdict would mean anything.  The guards' runs then go
-side by side, one per CPU (``os.cpu_count()``), each in its own copy;
-their verdicts print in ``GUARDS`` order.
+passing run means it survived.  Tier-1 is passed as every
+``tests/test_*.py`` file by name, with the guard's catcher first: the
+test file named after its module (``tables.py`` -> ``test_tables.py``;
+``reports.py`` and ``cli.py`` -> ``test_reports_cli.py``).  pytest keeps
+the order of file arguments, so the test most likely to fail runs
+first; every file still runs unless one fails, so no verdict depends on
+the order.  Before the guards, the unmutated copy must pass, or no
+verdict would mean anything.  The guards' runs then go side by side, one
+per CPU (``os.cpu_count()``), each in its own copy; their verdicts print
+in ``GUARDS`` order.
 
 Exit status: 0 when every guard is caught, 1 when any survives, 2 when
 the unmutated tree fails or a guard's ``match`` does not name exactly
@@ -146,14 +152,17 @@ GUARDS = (
           "n < 1"),
     Guard("complete-graph-needs-size-1", "graphs.py", "CompleteK.__init__", "drop", "n < 1"),
     Guard("table-cells-within-1-to-m", "tables.py", "MulTable.from_cells", "drop",
-          "not (0 < u <= m and 0 < v <= m)"),
+          "not (type(u) is type(v) is int and 0 < u <= m and 0 < v <= m)"),
+    Guard("table-cell-ids-are-ints", "tables.py", "MulTable.from_cells", "true",
+          "type(u) is type(v) is int"),
     Guard("verify-range-ordered-from-1", "reports.py", "run_verification", "drop",
           "lo < 1 or hi < lo"),
-    Guard("equivalence-seed-realizes-target", "reports.py", "_equivalence_counterexamples",
-          "drop", "recognition is None"),
     Guard("enumerate-case-needs-a-pendant-target", "cli.py", "cmd_enumerate", "drop",
           'args.case and args.graph != "kn1"'),
 )
+
+# The test file of a module whose name it does not share.
+CATCHERS = {"reports.py": "test_reports_cli.py", "cli.py": "test_reports_cli.py"}
 
 # Mutants that can only cost time, so no test can catch them; listed, not run.
 NOT_RUN = (
@@ -223,13 +232,25 @@ def mutate(guard: Guard, source: str) -> str:
     return mutant
 
 
-def run_tier1(tree: Path) -> tuple[bool, str]:
-    """(passed, last line of pytest's output) for tier-1 in ``tree``."""
+def catcher(guard: Guard) -> str:
+    """The test file under ``tests/`` that a guard's trial runs first."""
+    return CATCHERS.get(guard.module, f"test_{Path(guard.module).stem}.py")
+
+
+def tier1_files(first: str | None = None) -> list[str]:
+    """Every tier-1 test file, relative to the tree, ``first`` (a file name) first."""
+    names = sorted(path.name for path in (ROOT / "tests").glob("test_*.py"))
+    return [f"tests/{name}" for name in sorted(names, key=lambda name: name != first)]
+
+
+def run_tier1(tree: Path, files: list[str]) -> tuple[bool, str]:
+    """(passed, last line of pytest's output) for tier-1 in ``tree``, run
+    as ``files`` in that order."""
     env = {k: v for k, v in os.environ.items() if k != "ZDSG_LONG_RUN"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        result = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True,
-                                timeout=TIMEOUT_S)
+        result = subprocess.run(TIER1 + files, cwd=tree, env=env, capture_output=True,
+                                text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False, f"timed out after {TIMEOUT_S} s"
     lines = result.stdout.strip().splitlines() or ["(no output)"]
@@ -237,8 +258,9 @@ def run_tier1(tree: Path) -> tuple[bool, str]:
 
 
 def trial(guard: Guard | None, scratch: Path) -> tuple[bool, str, float]:
-    """Tier-1 on a fresh copy of the tree, with the guard's edit if one is
-    given: (passed, last line of pytest's output, seconds taken)."""
+    """Tier-1 on a fresh copy of the tree, with the guard's edit and its
+    catcher first if one is given: (passed, last line of pytest's output,
+    seconds taken)."""
     t0 = perf_counter()
     tree = Path(tempfile.mkdtemp(dir=scratch))
     try:
@@ -246,7 +268,8 @@ def trial(guard: Guard | None, scratch: Path) -> tuple[bool, str, float]:
         if guard is not None:
             path = tree / PACKAGE / guard.module
             path.write_text(mutate(guard, path.read_text()))
-        return (*run_tier1(tree), perf_counter() - t0)
+        files = tier1_files(None if guard is None else catcher(guard))
+        return (*run_tier1(tree, files), perf_counter() - t0)
     finally:
         shutil.rmtree(tree, ignore_errors=True)
 

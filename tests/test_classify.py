@@ -204,6 +204,21 @@ def test_catalog_json_round_trip():
     assert back == catalog
 
 
+@pytest.mark.parametrize("spoil, message", [
+    (lambda obj: obj.append(dict(obj[0])), "is listed twice"),
+    (lambda obj: obj[0].update(multiplicity=0), "positive integer, got 0"),
+    (lambda obj: obj[0].update(multiplicity=True), "positive integer, got True"),
+    (lambda obj: obj[0].update(table=obj[1]["table"]), "a table other than its key's"),
+], ids=["class-listed-twice", "multiplicity-0", "multiplicity-True", "another-class-table"])
+def test_catalog_from_json_refuses_a_spoiled_entry(spoil, message):
+    catalog = ClassCatalog()
+    enumerate_labeled(CompleteK(2), catalog.insert)
+    obj = catalog.to_json_obj()
+    spoil(obj)
+    with pytest.raises(ValueError, match=message):
+        ClassCatalog.from_json_obj(obj)
+
+
 def test_catalogs_are_equal_when_their_multiplicities_are():
     a, b = ClassCatalog(), ClassCatalog()
     t, u = clique_table([0, 0]), clique_table([0, 2])
@@ -309,3 +324,13 @@ def test_orbit_keyer_memory_does_not_grow_with_the_group():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_orbit_keyer_refuses_an_orbit_left_open():
+    keyer = OrbitKeyer(2, range(1, 3), ClassCatalog())
+    keyer(clique_table([1, 0]))
+    with pytest.raises(RuntimeError, match="not closed under relabeling: 1 never emitted"):
+        keyer.check_closed("K2 tables")
+    keyer(clique_table([0, 2]))  # the swap of 1 and 2 closes the orbit
+    keyer.check_closed("K2 tables")
+    assert keyer.catalog.class_count == 1 and keyer.catalog.labeled_count == 2

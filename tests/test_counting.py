@@ -30,7 +30,7 @@ from zdsemigroups.counting import (
 from zdsemigroups.errors import UsageError
 from zdsemigroups.graphs import CompleteK, CompletePlusEnd, build_zd_graph, recognize_target
 from zdsemigroups.search import enumerate_labeled, iter_candidate_tables, seed_partial_table
-from zdsemigroups.tables import MulTable, check_associativity
+from zdsemigroups.tables import MulTable, check_associativity, permute_table
 
 
 def partitions_by_largest_part(total, parts):
@@ -377,33 +377,43 @@ def test_check_zero_and_attach_cases():
     assert not pendant_conditions_hold(pendant_table("attach", 1, [1, 1], [0, 2, 0]))
 
 
-def _equivalence_by_definition(n):
-    """Candidates of the n pendant pattern where associativity and the conditions disagree."""
-    return [
-        t for t in iter_candidate_tables(seed_partial_table(CompletePlusEnd(n)))
-        if (check_associativity(t) is None) != pendant_conditions_hold(t)
-    ]
-
-
-def test_pendant_equivalence_exhaustive_n3():
+def test_pendant_equivalence_exhaustive_n3(monkeypatch):
     # over the forced pendant pattern at n=3: associative iff conditions;
-    # the verify row, which recognizes the graph once, agrees table for table
-    definition = _equivalence_by_definition(3)
-    assert definition == []
-    assert reports._equivalence_counterexamples(3) == definition
-
-
-def test_equivalence_row_equals_its_definition_under_a_wrong_check(monkeypatch):
+    # with the x*x = x check negated, the row lists every x*x = x candidate
+    assert reports._equivalence_counterexamples(3) == []
     holds = counting._CASE_HOLDS["self"]
     monkeypatch.setitem(counting._CASE_HOLDS, "self", lambda *args: not holds(*args))
-    definition = _equivalence_by_definition(3)
-    assert definition
-    assert reports._equivalence_counterexamples(3) == definition
+    candidates = iter_candidate_tables(seed_partial_table(CompletePlusEnd(3)))
+    assert reports._equivalence_counterexamples(3) == [
+        t for t in candidates if pendant_square_case(t) == "self"]
 
 
-def test_equivalence_row_refuses_a_seed_that_does_not_realize_its_target(monkeypatch):
-    monkeypatch.setattr(reports, "realizes", lambda table, target: None)
-    with pytest.raises(RuntimeError, match="the seed of .* does not realize it"):
+def test_equivalence_row_recognizes_each_zero_pattern_once(monkeypatch):
+    candidates = list(iter_candidate_tables(seed_partial_table(CompletePlusEnd(3))))
+    patterns = {tuple(tuple(x == 0 for x in row) for row in t.entries) for t in candidates}
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return recognize_target(graph)
+
+    monkeypatch.setattr(graphs, "_recognitions", {})
+    monkeypatch.setattr(graphs, "recognize_target", counted)
+    assert reports._equivalence_counterexamples(3) == []
+    assert len(candidates) == 10_000 and len(calls) == len(patterns) == 16
+
+
+def test_equivalence_row_judges_each_candidate_by_its_own_graph(monkeypatch):
+    seeded = reports.iter_candidate_tables
+    # the same candidates again with the neighbor relabelled 2: still no counterexample
+    relabelled = lambda spec: (permute_table(t, [0, 2, 1, 3, 4]) for t in seeded(spec))
+    monkeypatch.setattr(reports, "iter_candidate_tables",
+                        lambda spec: itertools.chain(seeded(spec), relabelled(spec)))
+    assert reports._equivalence_counterexamples(3) == []
+    # a candidate whose graph is K4, not a clique plus a pendant, is refused
+    monkeypatch.setattr(reports, "iter_candidate_tables",
+                        lambda spec: itertools.chain(seeded(spec), [MulTable.from_cells(4, [])]))
+    with pytest.raises(UsageError, match="does not realize a complete graph with one pendant"):
         reports._equivalence_counterexamples(3)
 
 

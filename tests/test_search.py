@@ -266,7 +266,7 @@ def test_seed_zeros_are_the_target_edges(target):
     (CompletePlusEnd(3), Recognition(CompletePlusEnd(3), 4, 1)),
 ])
 def test_every_candidate_has_the_seed_graph(target, recognition):
-    # what lets the n=3 equivalence row recognize its graph once
+    # every completion of a seed has the seed's labelled graph
     candidates = list(iter_candidate_tables(seed_partial_table(target)))
     assert len(candidates) == assignment_count(seed_partial_table(target))
     assert {realizes(t, target) for t in candidates} == {recognition}

@@ -229,13 +229,17 @@ def test_from_cells_mirrors_listed_products():
 
 
 # unchecked, the first wraps onto (1, 1) and gives the null table, the
-# second is an IndexError, and the last two land on a zero-row and an
-# asymmetric cell, refused for what they are not
+# second is an IndexError, the next two land on a zero-row and an
+# asymmetric cell, refused for what they are not, True writes cell (1, 2)
+# and a float index is a TypeError
 @pytest.mark.parametrize("cells", [
     [((1, 1), 1), ((2, -3), 0)],
     [((1, 4), 1)],
     [((0, 2), 1)],
     [((2, -1), 1)],
+    [((True, 2), 1)],
+    [((1.0, 2), 1)],
+    [((2, 3.0), 1)],
 ], ids=lambda cells: str(cells[-1][0]))
 def test_from_cells_refuses_a_cell_outside_1_to_m(cells):
     with pytest.raises(UsageError) as error:
