@@ -377,15 +377,28 @@ def test_check_zero_and_attach_cases():
     assert not pendant_conditions_hold(pendant_table("attach", 1, [1, 1], [0, 2, 0]))
 
 
-def test_pendant_equivalence_exhaustive_n3(monkeypatch):
-    # over the forced pendant pattern at n=3: associative iff conditions;
-    # with the x*x = x check negated, the row lists every x*x = x candidate
+def _equivalence_by_definition(n):
+    """Candidates of the n pendant pattern where associativity and the conditions disagree."""
+    return [
+        t for t in iter_candidate_tables(seed_partial_table(CompletePlusEnd(n)))
+        if (check_associativity(t) is None) != pendant_conditions_hold(t)
+    ]
+
+
+def test_pendant_equivalence_exhaustive_n3():
+    # over the forced pendant pattern at n=3: associative iff conditions
     assert reports._equivalence_counterexamples(3) == []
+
+
+def test_equivalence_row_equals_its_definition_under_a_wrong_check(monkeypatch):
+    # with the x*x = x check negated, the row lists the tables where associativity
+    # and the conditions disagree, which are exactly the x*x = x candidates
     holds = counting._CASE_HOLDS["self"]
     monkeypatch.setitem(counting._CASE_HOLDS, "self", lambda *args: not holds(*args))
+    definition = _equivalence_by_definition(3)
     candidates = iter_candidate_tables(seed_partial_table(CompletePlusEnd(3)))
-    assert reports._equivalence_counterexamples(3) == [
-        t for t in candidates if pendant_square_case(t) == "self"]
+    assert definition == [t for t in candidates if pendant_square_case(t) == "self"]
+    assert reports._equivalence_counterexamples(3) == definition
 
 
 def test_equivalence_row_recognizes_each_zero_pattern_once(monkeypatch):
