@@ -37,6 +37,24 @@ such order:
 Each move keeps a subset of the orders, so the search visits at most m!
 leaves, as brute force would, and returns the same key.
 
+The search also prunes by automorphisms, as nauty and Traces do (McKay
+and Piperno, J. Symbolic Comput. 60 (2014) 94-112).  When a leaf's key
+ties the best key, the map g that sends each element of the leaf's order
+to the element at its position in the best leaf's order is an
+automorphism.  The moves read only products, blocks and positions, so g
+maps the subtree of a node whose blocks it keeps onto that of the image
+node, key for key.  g keeps the starting blocks, which both leaves
+refine, so it keeps the blocks of every node whose branch choices it
+fixes.  Each of two cuts drops only keys already seen:
+
+- orbit: at a branch, x is skipped when a recorded g fixes the path's
+  choices and maps x onto an element already tried there; then x's
+  subtree copies that element's.  Twins are the transposition case.
+- jump-back: after a tie, the search resumes at the node where the two
+  leaves' paths part.  g fixes the choices above it and maps the
+  current child onto the earlier child, searched already, that holds
+  the best leaf.
+
 ``ClassCatalog`` keys a table with ``canonical_form`` unless its caller
 passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
 in which each class is one orbit of a known symmetric group of
@@ -84,20 +102,25 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
     """Least flattened relabeling over the orders that ``blocks`` allows.
 
     ``blocks`` is an ordered partition of 1..m; see the module docstring
-    for the search.
+    for the search and its pruning by the automorphisms in ``autos``,
+    each a list that maps an element (and 0) to its image.
     """
     ent = table.entries
     code = table.code
     m = table.m
     cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
     best: list[int] = []
+    path: list[int] = []  # the elements chosen at the branches above the node
+    leader: list = [[], []]  # the best leaf's path and blocks
+    autos: list[list[int]] = []  # one per tie: element -> image
 
     @cache
     def twin(z: int, w: int) -> bool:
         """True when exchanging z and w maps the table onto itself."""
         return _swap(m, z, w)(code) == code
 
-    def descend(blocks: list[list[int]], prefix: list[int]) -> None:
+    def descend(blocks: list[list[int]], prefix: list[int]) -> Optional[int]:
+        """Search below a node; after a tie, the depth of the node to resume at."""
         tight = bool(best) and best[: len(prefix)] == prefix
         while True:
             of = [0] * (m + 1)  # element -> block index
@@ -121,7 +144,7 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
                         val = start[of[p]] if p else 0
                         if tight:
                             if val > best[c]:
-                                return
+                                return None
                             tight = val == best[c]
                         prefix.append(val)
                         continue
@@ -151,21 +174,33 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
                 if len(row) == 1 and not v <= low < v + len(col) and len(reach) < len(col):
                     parts = [reach, [e for e in col if lows[e] != low]]  # split
                     break
-                tried: list[int] = []  # branch, once per twin class
+                tried: list[int] = []  # branch, skipping automorphic images
                 for x in reach:
-                    if any(twin(x, r) for r in tried):
+                    if any(twin(x, r) for r in tried) or any(
+                        g[x] in tried and all(g[e] == e for e in path) for g in autos
+                    ):
                         continue
                     tried.append(x)
                     rest = [e for e in blocks[k] if e != x]
-                    descend(blocks[:k] + [[x], rest] + blocks[k + 1 :], list(prefix))
-                return
+                    path.append(x)
+                    back = descend(blocks[:k] + [[x], rest] + blocks[k + 1 :], list(prefix))
+                    path.pop()
+                    if back is not None and back < len(path):
+                        return back  # jump back past this node
+                return None
             else:  # every cell is fixed: a leaf
                 if not tight:
                     best[:] = prefix
-                return
+                    leader[:] = path[:], blocks
+                    return None
+                best_path, best_blocks = leader  # a tie: record the automorphism
+                pairs = zip(sum(blocks, [0]), sum(best_blocks, [0]))  # the orders, 0 first
+                autos.append([image for _, image in sorted(pairs)])
+                return next(d for d, (e, f) in enumerate(zip(path, best_path)) if e != f)
             blocks = blocks[:k] + parts + blocks[k + 1 :]  # block k refined
 
     descend([block for block in blocks if block], [])
+    del descend  # it refers to itself: free the search's state now, not at a gc pass
     return tuple(best)
 
 

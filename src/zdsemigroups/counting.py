@@ -97,7 +97,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import UsageError
-from .graphs import CompleteK, CompletePlusEnd, Recognition, TargetGraph, realizes
+from .graphs import CompleteK, CompletePlusEnd, Recognition, TargetGraph, realizes, recognition
 from .tables import MulTable, check_associativity
 
 # Class counts reported in earlier tabulations of these families, kept
@@ -265,9 +265,10 @@ def generate_clique_classes(n: int) -> ClassCatalog:
 
 def _pendant_layout(table: MulTable) -> Recognition:
     """(target, pendant id, neighbor id); raises unless the graph is a
-    clique of size >= 2 plus one pendant."""
-    rec = realizes(table, CompletePlusEnd(table.m - 1)) if table.m >= 3 else None
-    if rec is None:
+    clique of size >= 2 plus one pendant, which is when its recognition
+    names a pendant."""
+    rec = recognition(table)
+    if rec is None or rec.pendant is None:
         raise UsageError("table does not realize a complete graph with one pendant")
     return rec
 

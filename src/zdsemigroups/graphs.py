@@ -9,10 +9,11 @@ and a complete graph on n vertices with one extra pendant (degree-1)
 vertex attached to a single clique vertex.
 
 ``realizes`` is the graph check of every leaf and generated table.  The
-graph depends only on which products are 0, so it recognizes each zero
-pattern once and looks the recognition up for every later table with
-that pattern.  Both it and ``build_zd_graph`` read the table's
-``code``, its rows joined once by the constructor.
+graph depends only on which products are 0, so ``recognition``, which
+it calls, recognizes each zero pattern once and looks the recognition
+up for every later table with that pattern.  Both it and
+``build_zd_graph`` read the table's ``code``, its rows joined once by
+the constructor.
 """
 
 from __future__ import annotations
@@ -162,21 +163,16 @@ RECOGNITION_MEMO_SIZE = 1024
 _recognitions: dict[bytes, Optional[Recognition]] = {}
 
 
-def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:
-    """The table's recognition when its zero-divisor graph is ``target``, else None.
-
-    The one place where a recognized graph is compared with a known
-    target; the recognition names the pendant and its neighbor.
+def recognition(table: MulTable) -> Optional[Recognition]:
+    """``recognize_target(build_zd_graph(table))``, recognized once per zero pattern.
 
     The graph is a function of the table's zero flags (its code with
     each product 0 read as 1 and every other product as 0), whose length
-    (m+1)**2 fixes m.  So ``recognize_target(build_zd_graph(table))``
-    runs only on a flag pattern that the module-level memo does not
-    hold yet, and every call still compares the result with ``target``.
-    The memo keeps at most ``RECOGNITION_MEMO_SIZE`` patterns and is
-    emptied when full.  An entry costs its key, (m+1)**2 bytes, plus
-    about 250 bytes: under 0.6 MB in all for m <= 16, and about 67 MB
-    at worst, with m = 255.
+    (m+1)**2 fixes m.  So the recognition runs only on a flag pattern
+    that the module-level memo does not hold yet.  The memo keeps at
+    most ``RECOGNITION_MEMO_SIZE`` patterns and is emptied when full.  An
+    entry costs its key, (m+1)**2 bytes, plus about 250 bytes: under
+    0.6 MB in all for m <= 16, and about 67 MB at worst, with m = 255.
     """
     flags = table.code.translate(_ZERO_FLAGS)
     rec = _recognitions.get(flags, False)
@@ -184,6 +180,16 @@ def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:
         if len(_recognitions) >= RECOGNITION_MEMO_SIZE:
             _recognitions.clear()
         rec = _recognitions[flags] = recognize_target(build_zd_graph(table))
+    return rec
+
+
+def realizes(table: MulTable, target: TargetGraph) -> Optional[Recognition]:
+    """The table's recognition when its zero-divisor graph is ``target``, else None.
+
+    The one place where a recognized graph is compared with a known
+    target; the recognition names the pendant and its neighbor.
+    """
+    rec = recognition(table)
     return rec if rec is not None and rec.target == target else None
 
 

@@ -107,6 +107,14 @@ GUARDS = (
     Guard("self-case-r-constant", "counting.py", "generate_pendant_square_self", "drop",
           "key_fixed.setdefault(key, r) != r"),
     Guard("orbit-keyer-closed", "classify.py", "OrbitKeyer.check_closed", "drop", "self._pending"),
+    # the canonical search's pruning by automorphisms, each condition of its soundness
+    Guard("orbit-prune-fixes-the-path", "classify.py", "_least_key", "true",
+          "all(g[e] == e for e in path)"),
+    Guard("orbit-prune-onto-a-tried-element", "classify.py", "_least_key", "flip",
+          "g[x] in tried"),
+    Guard("jump-back-to-where-the-paths-part", "classify.py", "_least_key", "true", "e != f"),
+    Guard("jump-back-stops-at-that-node", "classify.py", "_least_key", "flip",
+          "back < len(path)"),
     # the pendant case statements, which the checks and the generators share
     Guard("self-case-zeros-square-to-0", "counting.py", "_self_choices", "flip", "i in zeros"),
     Guard("self-case-neighbor-square", "counting.py", "_neighbor_squares", "flip",
@@ -146,7 +154,7 @@ GUARDS = (
     Guard("hex-key-values-at-most-15", "classify.py", "key_to_hex", "drop",
           "any(v > MAX_HEX_ELEMENTS for v in key)"),
     Guard("pendant-layout-needs-a-pendant", "counting.py", "_pendant_layout", "drop",
-          "rec is None"),
+          "rec is None or rec.pendant is None"),
     Guard("clique-count-needs-size-1", "counting.py", "clique_class_count", "drop", "n < 1"),
     Guard("clique-generator-needs-size-1", "counting.py", "generate_clique_classes", "drop",
           "n < 1"),

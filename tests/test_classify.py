@@ -85,6 +85,44 @@ def random_symmetric_table(rng, m):
     return MulTable.from_rows(grid)
 
 
+def table_invariant_under(rng, m):
+    """Random symmetric table with zero that a random permutation s of 1..m
+    maps onto itself.
+
+    s fixes a point and moves at least three, so the table has
+    automorphisms that are not transpositions.  Each orbit of s on the
+    cells {u, v} gets a value c, c = 0 or an element that s**L fixes (L
+    the orbit's length), at its first cell, and s**i(c) at the i-th cell
+    after it.
+    """
+    while True:
+        s = [0] + rng.sample(range(1, m + 1), m)
+        if 3 <= sum(s[u] != u for u in range(1, m + 1)) < m:
+            break
+    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    done = set()
+    for u in range(1, m + 1):
+        for v in range(u, m + 1):
+            if (u, v) in done:
+                continue
+            orbit = [(u, v)]
+            a, b = s[u], s[v]
+            while {a, b} != {u, v}:
+                orbit.append((a, b))
+                a, b = s[a], s[b]
+            power = list(range(m + 1))
+            for _ in orbit:
+                power = [s[e] for e in power]
+            c = rng.choice([e for e in range(m + 1) if power[e] == e])
+            for a, b in orbit:
+                grid[a][b] = grid[b][a] = c
+                done.add((min(a, b), max(a, b)))
+                c = s[c]
+    table = MulTable.from_rows(grid)
+    assert permute_table(table, s) == table
+    return table
+
+
 def pinned_brute_force(table, pendant, neighbor):
     """Least flattened relabeling with the neighbor first and the pendant last."""
     m = table.m
@@ -119,6 +157,21 @@ def test_canonical_form_matches_brute_force():
             assert pendant_pinned_key(t, pendant, neighbor) == pinned_brute_force(
                 t, pendant, neighbor
             ), t.entries
+
+
+def test_canonical_form_matches_brute_force_on_symmetric_tables():
+    # the search prunes by the automorphisms its ties reveal, so its key is
+    # checked on tables that have automorphisms beyond transpositions,
+    # each under ten relabelings: whether an unsound pruning shows
+    # depends on the order in which the search meets the elements
+    rng = random.Random(8)
+    for m, count in ((4, 20), (5, 60), (6, 50)):
+        for _ in range(count):
+            table = table_invariant_under(rng, m)
+            key = class_key(table.entries)
+            for _ in range(10):
+                relabeled = permute_table(table, [0] + rng.sample(range(1, m + 1), m))
+                assert canonical_form(relabeled) == key, relabeled.entries
 
 
 def test_key_shape_and_reconstruction():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -7,7 +8,7 @@ import pytest
 
 from pendant_reference import class_key, pendant_reference
 from zdsemigroups import counting, graphs, reports
-from zdsemigroups.classify import ClassCatalog, canonical_form
+from zdsemigroups.classify import ClassCatalog, canonical_form, key_to_hex
 from zdsemigroups.counting import (
     TABULATED_COUNTS,
     check_clique_squares,
@@ -126,6 +127,33 @@ def test_clique_class_count_at_large_n_needs_no_deep_recursion():
 def test_clique_generator_matches_formula_up_to_8():
     for n in range(1, 9):
         assert generate_clique_classes(n).class_count == clique_class_count(n)
+
+
+# sha256 of the newline-joined hex keys of generate_clique_classes(n), as
+# the canonical search gave them before it pruned by automorphisms
+CLIQUE_KEYS_SHA256 = {
+    12: "d75db80e36e796d211d4b9621d085b2992746483db041f64c978905d2ce55718",
+    13: "23802f6a7aef2081703d5ea5c4d9f7b598510d0989fbe9f51e70cca035ef2c00",
+}
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the n=12 and n=13 generators run only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+@pytest.mark.parametrize("n", sorted(CLIQUE_KEYS_SHA256))
+def test_clique_generator_keys_are_unchanged_long_run(n):
+    keys = "\n".join(map(key_to_hex, generate_clique_classes(n).keys()))
+    assert hashlib.sha256(keys.encode()).hexdigest() == CLIQUE_KEYS_SHA256[n]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the n=15 generator runs only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+def test_clique_generator_matches_formula_long_run_n15():
+    # 15 is the largest size that hex keys allow
+    assert generate_clique_classes(15).class_count == clique_class_count(15) == 684
 
 
 def test_clique_generator_matches_oracle():
