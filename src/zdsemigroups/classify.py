@@ -43,17 +43,11 @@ ties the best key, the map g that sends each element of the leaf's order
 to the element at its position in the best leaf's order is an
 automorphism.  The moves read only products, blocks and positions, so g
 maps the subtree of a node whose blocks it keeps onto that of the image
-node, key for key.  g keeps the starting blocks, which both leaves
-refine, so it keeps the blocks of every node whose branch choices it
-fixes.  Each of two cuts drops only keys already seen:
-
-- orbit: at a branch, x is skipped when a recorded g fixes the path's
-  choices and maps x onto an element already tried there; then x's
-  subtree copies that element's.  Twins are the transposition case.
-- jump-back: after a tie, the search resumes at the node where the two
-  leaves' paths part.  g fixes the choices above it and maps the
-  current child onto the earlier child, searched already, that holds
-  the best leaf.
+node, key for key.  At a branch, x is therefore skipped when a recorded
+g keeps every block of the node and maps x onto an element already
+tried there: g keeps the node, so it maps x's child onto that element's
+child, whose subtree is searched already, and x's subtree holds only
+keys seen there.  Twins are the transposition case.
 
 ``ClassCatalog`` keys a table with ``canonical_form`` unless its caller
 passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
@@ -110,8 +104,7 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
     m = table.m
     cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
     best: list[int] = []
-    path: list[int] = []  # the elements chosen at the branches above the node
-    leader: list = [[], []]  # the best leaf's path and blocks
+    leader: list[list[int]] = []  # the best leaf's blocks
     autos: list[list[int]] = []  # one per tie: element -> image
 
     @cache
@@ -119,8 +112,8 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
         """True when exchanging z and w maps the table onto itself."""
         return _swap(m, z, w)(code) == code
 
-    def descend(blocks: list[list[int]], prefix: list[int]) -> Optional[int]:
-        """Search below a node; after a tie, the depth of the node to resume at."""
+    def descend(blocks: list[list[int]], prefix: list[int]) -> None:
+        """Search below a node."""
         tight = bool(best) and best[: len(prefix)] == prefix
         while True:
             of = [0] * (m + 1)  # element -> block index
@@ -144,7 +137,7 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
                         val = start[of[p]] if p else 0
                         if tight:
                             if val > best[c]:
-                                return None
+                                return
                             tight = val == best[c]
                         prefix.append(val)
                         continue
@@ -177,26 +170,22 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
                 tried: list[int] = []  # branch, skipping automorphic images
                 for x in reach:
                     if any(twin(x, r) for r in tried) or any(
-                        g[x] in tried and all(g[e] == e for e in path) for g in autos
+                        g[x] in tried and all(of[g[e]] == of[e] for e in range(1, m + 1))
+                        for g in autos
                     ):
                         continue
                     tried.append(x)
                     rest = [e for e in blocks[k] if e != x]
-                    path.append(x)
-                    back = descend(blocks[:k] + [[x], rest] + blocks[k + 1 :], list(prefix))
-                    path.pop()
-                    if back is not None and back < len(path):
-                        return back  # jump back past this node
-                return None
+                    descend(blocks[:k] + [[x], rest] + blocks[k + 1 :], list(prefix))
+                return
             else:  # every cell is fixed: a leaf
-                if not tight:
+                if tight:  # a tie: record the automorphism, from the orders with 0 first
+                    pairs = zip(sum(blocks, [0]), sum(leader, [0]))
+                    autos.append([image for _, image in sorted(pairs)])
+                else:
                     best[:] = prefix
-                    leader[:] = path[:], blocks
-                    return None
-                best_path, best_blocks = leader  # a tie: record the automorphism
-                pairs = zip(sum(blocks, [0]), sum(best_blocks, [0]))  # the orders, 0 first
-                autos.append([image for _, image in sorted(pairs)])
-                return next(d for d, (e, f) in enumerate(zip(path, best_path)) if e != f)
+                    leader[:] = blocks
+                return
             blocks = blocks[:k] + parts + blocks[k + 1 :]  # block k refined
 
     descend([block for block in blocks if block], [])

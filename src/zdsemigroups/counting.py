@@ -421,10 +421,11 @@ def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
     _require_pendant_size(n)
     m = n + 1
     catalog = ClassCatalog()
+    target = CompletePlusEnd(n)
     for pointer_count in range(n):  # elements 2..pointer_count + 1 square to 1
         cells = [((m, m), square)] + [((i, m), 1) for i in range(2, n + 1)]
         cells += [((i, i), 1) for i in range(2, pointer_count + 2)]
-        catalog.insert(_validated(MulTable.from_cells(m, cells), CompletePlusEnd(n)))
+        catalog.insert(_validated(MulTable.from_cells(m, cells), target))
     return catalog
 
 
@@ -445,15 +446,25 @@ def generate_pendant_square_attach(n: int) -> ClassCatalog:
 
 def generate_pendant_square_other(n: int) -> ClassCatalog:
     """x*x = 2 family: every labelled table ``_other_choices`` allows, for
-    each jx = 2x: the neighbor, 2 itself, or another clique element."""
+    each jx = 2x: the neighbor, 2 itself, or another clique element.
+
+    An isomorphism between two of these tables keeps the pendant m, its
+    neighbor 1 and the pendant's square 2, so it relabels only 3..n, and
+    the choices do not depend on those labels.  So the tables of one class
+    are one orbit of those (n-2)! relabelings, and an ``OrbitKeyer`` over
+    3..n keys them with one ``canonical_form`` per class; its closure
+    check raises if the tables are not closed under those relabelings.
+    """
     _require_pendant_size(n)
     m = n + 1
     catalog = ClassCatalog()
+    keyer = OrbitKeyer(m, range(3, n + 1), catalog)
+    target = CompletePlusEnd(n)
     others = range(2, n + 1)
     for jx in (1, *others):
         for cells, _ in _listed(m, _other_choices(others, 2, jx, 1)):
-            catalog.insert(_validated(MulTable.from_cells(m, [((m, m), 2)] + cells),
-                                      CompletePlusEnd(n)))
+            keyer(_validated(MulTable.from_cells(m, [((m, m), 2)] + cells), target))
+    keyer.check_closed("x*x = 2 tables")
     return catalog
 
 

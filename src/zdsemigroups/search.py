@@ -150,13 +150,14 @@ def _decimal(count: int) -> str:
 
 def check_budget(target: TargetGraph, allow_long_run: bool) -> None:
     """Refuse a search of ``target`` whose prune-free leaves exceed the desk-scale limit."""
-    if allow_long_run or fits_budget(target):
+    if allow_long_run:
         return
     leaves = assignment_count(seed_partial_table(target))
-    raise BudgetError(
-        f"{_decimal(leaves)} assignments for {target} exceeds the desk-scale limit "
-        f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
-    )
+    if leaves > DESK_SCALE_LIMIT:
+        raise BudgetError(
+            f"{_decimal(leaves)} assignments for {target} exceeds the desk-scale limit "
+            f"({DESK_SCALE_LIMIT}); rerun with the long-run flag to proceed"
+        )
 
 
 def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:

@@ -108,13 +108,10 @@ GUARDS = (
           "key_fixed.setdefault(key, r) != r"),
     Guard("orbit-keyer-closed", "classify.py", "OrbitKeyer.check_closed", "drop", "self._pending"),
     # the canonical search's pruning by automorphisms, each condition of its soundness
-    Guard("orbit-prune-fixes-the-path", "classify.py", "_least_key", "true",
-          "all(g[e] == e for e in path)"),
+    Guard("orbit-prune-keeps-the-blocks", "classify.py", "_least_key", "true",
+          "all(of[g[e]] == of[e] for e in range(1, m + 1))"),
     Guard("orbit-prune-onto-a-tried-element", "classify.py", "_least_key", "flip",
           "g[x] in tried"),
-    Guard("jump-back-to-where-the-paths-part", "classify.py", "_least_key", "true", "e != f"),
-    Guard("jump-back-stops-at-that-node", "classify.py", "_least_key", "flip",
-          "back < len(path)"),
     # the pendant case statements, which the checks and the generators share
     Guard("self-case-zeros-square-to-0", "counting.py", "_self_choices", "flip", "i in zeros"),
     Guard("self-case-neighbor-square", "counting.py", "_neighbor_squares", "flip",

@@ -129,22 +129,36 @@ def test_clique_generator_matches_formula_up_to_8():
         assert generate_clique_classes(n).class_count == clique_class_count(n)
 
 
-# sha256 of the newline-joined hex keys of generate_clique_classes(n), as
-# the canonical search gave them before it pruned by automorphisms
+# sha256 of the newline-joined hex keys of generate_clique_classes(n): at
+# n=12 and 13 as the canonical search gave them before it pruned by
+# automorphisms, at n=9 and 10 as it gave them with an orbit cut and a
+# jump-back cut.  The key is a minimum, so no pruning may change it.
 CLIQUE_KEYS_SHA256 = {
+    9: "573095562c1e3954d1e6787a7c397578a7e6dfd985cc5cb0fdcec3a562f88d08",
+    10: "369a3b8679ca8b41677d6036ee2f074008b3bcbc0d5c6a0d3f41c3712042d8d9",
     12: "d75db80e36e796d211d4b9621d085b2992746483db041f64c978905d2ce55718",
     13: "23802f6a7aef2081703d5ea5c4d9f7b598510d0989fbe9f51e70cca035ef2c00",
 }
+
+
+def clique_keys_sha256(n):
+    keys = "\n".join(map(key_to_hex, generate_clique_classes(n).keys()))
+    return hashlib.sha256(keys.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_clique_generator_keys_are_unchanged(n):
+    # about 0.3 s together, so a change to the canonical search fails tier-1
+    assert clique_keys_sha256(n) == CLIQUE_KEYS_SHA256[n]
 
 
 @pytest.mark.skipif(
     not os.environ.get("ZDSG_LONG_RUN"),
     reason="the n=12 and n=13 generators run only under the long-run flag (set ZDSG_LONG_RUN=1)",
 )
-@pytest.mark.parametrize("n", sorted(CLIQUE_KEYS_SHA256))
+@pytest.mark.parametrize("n", [12, 13])
 def test_clique_generator_keys_are_unchanged_long_run(n):
-    keys = "\n".join(map(key_to_hex, generate_clique_classes(n).keys()))
-    assert hashlib.sha256(keys.encode()).hexdigest() == CLIQUE_KEYS_SHA256[n]
+    assert clique_keys_sha256(n) == CLIQUE_KEYS_SHA256[n]
 
 
 @pytest.mark.skipif(
@@ -511,6 +525,23 @@ def test_self_generator_refuses_an_orbit_with_a_missing_table(monkeypatch):
     monkeypatch.setattr(counting, "_iter_self_case_tables", lambda n: iter(kept))
     with pytest.raises(RuntimeError, match="not closed under relabeling"):
         generate_pendant_square_self(4)
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+def test_other_generator_refuses_an_orbit_with_a_missing_or_repeated_table(monkeypatch, fault):
+    # At n=4 with 2x = 1, the choice with squares (2*2, 3*3, 4*4) = (0, 1, 0)
+    # is listed after (0, 0, 1), its image under (3 4): the second table of
+    # its orbit, so dropping it or listing it twice leaves the orbit open.
+    real = counting._listed
+
+    def faulty(pendant, statement):
+        for cells, squares in real(pendant, statement):
+            for _ in range({"drop": 0, "repeat": 2}[fault] if squares == (0, 1, 0) else 1):
+                yield cells, squares
+
+    monkeypatch.setattr(counting, "_listed", faulty)
+    with pytest.raises(RuntimeError, match="x\\*x = 2 tables are not closed under relabeling"):
+        generate_pendant_square_other(4)
 
 
 def test_self_generator_refuses_a_fixed_point_count_that_varies_on_a_class(monkeypatch):

@@ -1,12 +1,17 @@
 import itertools
 import math
 import os
+from functools import partial
 
 import pytest
 
 from zdsemigroups import classify, search
 from zdsemigroups.classify import canonical_form
-from zdsemigroups.counting import clique_class_count
+from zdsemigroups.counting import (
+    clique_class_count,
+    generate_pendant_square_other,
+    generate_pendant_square_self,
+)
 from zdsemigroups.errors import BudgetError
 from zdsemigroups.cli import main
 from zdsemigroups.graphs import (
@@ -311,10 +316,19 @@ def test_oracle_classes_obey_orbit_stabilizer(target, labelled):
     assert total == labelled == enumerate_labeled(target)
 
 
-@pytest.mark.parametrize(
-    "target", [CompleteK(4), CompleteK(5), CompletePlusEnd(3), CompletePlusEnd(4)], ids=str
-)
-def test_oracle_keys_one_table_per_class(monkeypatch, target):
+# the streams that an OrbitKeyer keys: the oracle's and two generators'
+ORBIT_KEYED_STREAMS = {
+    **{str(target): partial(oracle_classes, target)
+       for target in (CompleteK(4), CompleteK(5), CompletePlusEnd(3), CompletePlusEnd(4))},
+    **{f"generate_pendant_square_self(n={n})": partial(generate_pendant_square_self, n)
+       for n in (3, 4, 5)},
+    **{f"generate_pendant_square_other(n={n})": partial(generate_pendant_square_other, n)
+       for n in (3, 4, 5, 6)},
+}
+
+
+@pytest.mark.parametrize("stream", ORBIT_KEYED_STREAMS.values(), ids=ORBIT_KEYED_STREAMS)
+def test_oracle_keys_one_table_per_class(monkeypatch, stream):
     # the keyer lists each whole orbit from its first table, so only that
     # table reaches canonical_form
     calls = 0
@@ -326,7 +340,7 @@ def test_oracle_keys_one_table_per_class(monkeypatch, target):
         return real(table)
 
     monkeypatch.setattr(classify, "canonical_form", counted)
-    assert oracle_classes(target).class_count == calls
+    assert stream().class_count == calls
 
 
 @pytest.mark.parametrize("target", [CompleteK(4), CompletePlusEnd(3), CompletePlusEnd(4)])
