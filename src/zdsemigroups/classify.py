@@ -324,6 +324,7 @@ class OrbitKeyer:
     an orbit is keyed by ``canonical_form``, and the codes (flattened
     grids as ``bytes``) of the rest of its orbit wait in a pending dict
     with that key; the orbit's other tables pop their key from there.
+    The first code of each orbit is kept, one per class.
 
     The keyer stores only two generators of the group, the
     transposition (a1 a2) and the cycle (a1 a2 ... ak) of ``movable`` =
@@ -334,9 +335,12 @@ class OrbitKeyer:
     a work-list search, so memory grows with the orbits emitted, not
     with the group.
 
-    A code left pending at the end names a relabeling that was never
-    emitted, or a table emitted twice, so ``check_closed`` raises
-    instead of letting a miscount through.
+    A table emitted twice never lets a miscount through.  When it is the
+    first of its orbit (or alone in it), its code is not pending but kept,
+    so the keyer raises ``RuntimeError`` at once.  Any other table emitted
+    twice is keyed again and lists its orbit again, which leaves the first
+    code pending.  A code left pending at the end names a relabeling that
+    was never emitted, or such a repeat, so ``check_closed`` raises.
     """
 
     def __init__(self, m: int, movable: Sequence[int], catalog: ClassCatalog):
@@ -346,11 +350,15 @@ class OrbitKeyer:
         moves = [dict(zip(a[:2], a[1::-1])), dict(zip(a, a[1:] + a[:1]))][:max(len(a) - 1, 0)]
         self._generators = [_relabeling([g.get(u, u) for u in range(m + 1)]) for g in moves]
         self._pending: dict[bytes, CanonicalKey] = {}
+        self._firsts: set[bytes] = set()
 
     def __call__(self, table: MulTable) -> CanonicalKey:
         code = table.code
         key = self._pending.pop(code, None)
         if key is None:
+            if code in self._firsts:
+                raise RuntimeError("a table was emitted twice, so its class would be miscounted")
+            self._firsts.add(code)
             key = canonical_form(table)
             orbit = {code}
             work = [code]

@@ -78,8 +78,9 @@ those that square to 0, ``_neighbor_squares`` states (4), and
 ``_other_choices`` states the x*x = j sub-cases given j*x.  The checks
 (``_self_holds``, ``_other_holds``) read those choices off a table and
 test it against the statement; the generators (``_iter_self_case_tables``,
-``generate_pendant_square_other``) list every table it allows.  The
-tests tie both to the brute-force search, table by table.
+``generate_pendant_square_other``) write every table it allows, row
+by row, through ``_listed``.  The tests tie both to the brute-force
+search, table by table.
 
 The formula method prefers the stated ``STRATUM_RULES`` where they
 cover a stratum, so a wrong stated value shows as a deviation from the
@@ -306,8 +307,8 @@ def pendant_fixed_points(table: MulTable) -> int:
 #
 # A statement lists, for each clique element i other than the neighbor,
 # the pendant products and squares it allows: ``(i, products, squares)``.
-# ``_allows`` checks a table against one, and ``_listed`` lists every
-# choice it allows, so the checks and the generators read the same one.
+# ``_allows`` checks a table against one, and ``_listed`` writes every
+# table it allows, so the checks and the generators read the same one.
 
 
 def _allows(ent, pendant: int, statement: list) -> bool:
@@ -316,12 +317,41 @@ def _allows(ent, pendant: int, statement: list) -> bool:
                for i, products, squares in statement)
 
 
-def _listed(pendant: int, statement: list) -> Iterator[tuple[list, tuple]]:
-    """Each choice of one product and one square per element: its cells and its squares."""
-    cells = [(i, pendant) for i, _, _ in statement] + [(i, i) for i, _, _ in statement]
-    domains = [products for _, products, _ in statement] + [squares for _, _, squares in statement]
-    for values in itertools.product(*domains):
-        yield list(zip(cells, values)), values[len(statement):]
+def _listed(
+    pendant_square: int,
+    statement: list,
+    neighbor_squares: Callable[[tuple], tuple] = lambda squares: (0,),
+) -> Iterator[MulTable]:
+    """Every table that a statement allows, written row by row.
+
+    The pendant is m = n + 1, its neighbor is 1 and every clique product
+    is 0, so a table has three kinds of row.  Row i, for i in 2..n, holds
+    only i's square (column i) and its pendant product (column m).  The
+    neighbor's row holds only its square, each of ``neighbor_squares(squares)``
+    for the squares of 2..n.  The pendant's row is 0, 0, the products of
+    2..n, ``pendant_square``.  Each element's rows are written once, one per
+    product and square its statement allows, so the lookup is as small as
+    the statement's domains; every choice of one row per element is one
+    table, built from its rows with no list of cells, and ``MulTable``
+    still checks it.
+    """
+    m = len(statement) + 2
+
+    def row(u: int, square: int, product: int) -> bytes:
+        cells = bytearray(m + 1)
+        cells[u], cells[m] = square, product
+        return bytes(cells)
+
+    choices = [[(row(i, square, product), product, square)
+                for product in products for square in squares]
+               for i, products, squares in sorted(statement)]
+    zero = bytes(m + 1)
+    neighbor_rows = {square: row(1, square, 0) for square in (0, 1)}  # (4): 0 or the neighbor
+    for choice in itertools.product(*choices):
+        rows, products, squares = zip(*choice)
+        pendant_row = bytes((0, 0, *products, pendant_square))
+        for neighbor_square in neighbor_squares(squares):
+            yield MulTable((zero, neighbor_rows[neighbor_square], *rows, pendant_row))
 
 
 def _self_choices(others, fixed, zeros: tuple, neighbor: int) -> list:
@@ -417,25 +447,30 @@ def _require_pendant_size(n: int) -> None:
 
 
 def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
-    """Shared body of the zero and attach generators, keyed on the pendant's square."""
+    """Shared body of the zero and attach generators, keyed on the pendant's square.
+
+    Each table is a statement with one product and one square per element,
+    written by ``_listed``, so the catalog holds one table per class.
+    """
     _require_pendant_size(n)
-    m = n + 1
     catalog = ClassCatalog()
     target = CompletePlusEnd(n)
     for pointer_count in range(n):  # elements 2..pointer_count + 1 square to 1
-        cells = [((m, m), square)] + [((i, m), 1) for i in range(2, n + 1)]
-        cells += [((i, i), 1) for i in range(2, pointer_count + 2)]
-        catalog.insert(_validated(MulTable.from_cells(m, cells), target))
+        statement = [(i, (1,), (1,) if i <= pointer_count + 1 else (0,)) for i in range(2, n + 1)]
+        for table in _listed(square, statement):
+            catalog.insert(_validated(table, target))
     return catalog
 
 
 def generate_pendant_square_zero(n: int) -> ClassCatalog:
-    """x*x = 0 family: choose how many of elements 2..n square to 1."""
+    """x*x = 0 family: choose how many of elements 2..n square to 1; one
+    table per choice, written by ``_generate_pointer_family``."""
     return _generate_pointer_family(n, 0)
 
 
 def generate_pendant_square_attach(n: int) -> ClassCatalog:
-    """x*x = 1 family: choose how many of elements 2..n square to 1.
+    """x*x = 1 family: choose how many of elements 2..n square to 1; one
+    table per choice, written by ``_generate_pointer_family``.
 
     Same shape as the zero family with the pendant square moved to the
     neighbor, hence n classes (the all-nilpotent table is the
@@ -447,6 +482,8 @@ def generate_pendant_square_attach(n: int) -> ClassCatalog:
 def generate_pendant_square_other(n: int) -> ClassCatalog:
     """x*x = 2 family: every labelled table ``_other_choices`` allows, for
     each jx = 2x: the neighbor, 2 itself, or another clique element.
+    ``_listed`` writes each table from the statement, with the neighbor
+    squaring to 0.
 
     An isomorphism between two of these tables keeps the pendant m, its
     neighbor 1 and the pendant's square 2, so it relabels only 3..n, and
@@ -462,8 +499,8 @@ def generate_pendant_square_other(n: int) -> ClassCatalog:
     target = CompletePlusEnd(n)
     others = range(2, n + 1)
     for jx in (1, *others):
-        for cells, _ in _listed(m, _other_choices(others, 2, jx, 1)):
-            keyer(_validated(MulTable.from_cells(m, [((m, m), 2)] + cells), target))
+        for table in _listed(2, _other_choices(others, 2, jx, 1)):
+            keyer(_validated(table, target))
     keyer.check_closed("x*x = 2 tables")
     return catalog
 
@@ -483,9 +520,10 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
     """All labelled tables meeting the x*x = x conditions, with their r.
 
     For each choice of the r fixed elements among 2..n and of the subset
-    Z of them that squares to 0, ``_listed`` lists every product and
-    square ``_self_choices`` allows, and the neighbor's square is chosen
-    last from ``_neighbor_squares``; so every table built is yielded, once.
+    Z of them that squares to 0, ``_listed`` writes a table for every
+    product and square ``_self_choices`` allows and every neighbor's
+    square ``_neighbor_squares`` then allows; so every table built is
+    yielded, once.
     """
     m = n + 1
     others = range(2, n + 1)
@@ -493,17 +531,17 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
         for fixed in itertools.combinations(others, r):
             for zeros in itertools.chain.from_iterable(
                     itertools.combinations(fixed, k) for k in range(r + 1)):
-                for cells, squares in _listed(m, _self_choices(others, fixed, zeros, 1)):
-                    for neighbor_square in _neighbor_squares(squares, 1):
-                        yield MulTable.from_cells(
-                            m, [((m, m), m), ((1, 1), neighbor_square), *cells]), r
+                for table in _listed(m, _self_choices(others, fixed, zeros, 1),
+                                     lambda squares: _neighbor_squares(squares, 1)):
+                    yield table, r
 
 
 def generate_pendant_square_self(n: int) -> PendantSelfResult:
     """Enumerate the x*x = x case from its conditions and classify.
 
-    The tables come from ``_iter_self_case_tables``, which lists what
-    ``_self_choices`` and ``_neighbor_squares``, conditions (1)-(4), allow.
+    The tables come from ``_iter_self_case_tables``, which writes, row by
+    row through ``_listed``, what ``_self_choices`` and
+    ``_neighbor_squares``, conditions (1)-(4), allow.
 
     Every emitted table puts the pendant at m and its neighbor at 1, and an
     isomorphism between two such tables must keep both, so it relabels

@@ -107,6 +107,8 @@ GUARDS = (
     Guard("self-case-r-constant", "counting.py", "generate_pendant_square_self", "drop",
           "key_fixed.setdefault(key, r) != r"),
     Guard("orbit-keyer-closed", "classify.py", "OrbitKeyer.check_closed", "drop", "self._pending"),
+    Guard("orbit-keyer-refuses-a-repeat", "classify.py", "OrbitKeyer.__call__", "drop",
+          "code in self._firsts"),
     # the canonical search's pruning by automorphisms, each condition of its soundness
     Guard("orbit-prune-keeps-the-blocks", "classify.py", "_least_key", "true",
           "all(of[g[e]] == of[e] for e in range(1, m + 1))"),

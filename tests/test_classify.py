@@ -387,3 +387,15 @@ def test_orbit_keyer_refuses_an_orbit_left_open():
     keyer(clique_table([0, 2]))  # the swap of 1 and 2 closes the orbit
     keyer.check_closed("K2 tables")
     assert keyer.catalog.class_count == 1 and keyer.catalog.labeled_count == 2
+
+
+def test_orbit_keyer_refuses_a_repeated_table_alone_in_its_orbit():
+    # both elements idempotent: the swap of 1 and 2 fixes the table, so its
+    # orbit is itself, nothing is pending, and only the kept first code
+    # shows the repeat
+    keyer = OrbitKeyer(2, range(1, 3), ClassCatalog())
+    keyer(clique_table([1, 2]))
+    keyer.check_closed("K2 tables")
+    with pytest.raises(RuntimeError, match="a table was emitted twice"):
+        keyer(clique_table([1, 2]))
+    assert keyer.catalog.labeled_count == 1

@@ -527,20 +527,27 @@ def test_self_generator_refuses_an_orbit_with_a_missing_table(monkeypatch):
         generate_pendant_square_self(4)
 
 
-@pytest.mark.parametrize("fault", ["drop", "repeat"])
+@pytest.mark.parametrize("fault", ["drop", "repeat", "repeat-first"])
 def test_other_generator_refuses_an_orbit_with_a_missing_or_repeated_table(monkeypatch, fault):
-    # At n=4 with 2x = 1, the choice with squares (2*2, 3*3, 4*4) = (0, 1, 0)
+    # At n=4 with 2x = 1, the table with squares (2*2, 3*3, 4*4) = (0, 1, 0)
     # is listed after (0, 0, 1), its image under (3 4): the second table of
     # its orbit, so dropping it or listing it twice leaves the orbit open.
+    # Listing the first table, (0, 0, 1), twice would count its class
+    # twice (13 tables instead of 12), so the keyer refuses it at once.
+    odd, copies = {"drop": ((0, 1, 0), 0), "repeat": ((0, 1, 0), 2),
+                   "repeat-first": ((0, 0, 1), 2)}[fault]
     real = counting._listed
 
-    def faulty(pendant, statement):
-        for cells, squares in real(pendant, statement):
-            for _ in range({"drop": 0, "repeat": 2}[fault] if squares == (0, 1, 0) else 1):
-                yield cells, squares
+    def faulty(*args):
+        for table in real(*args):
+            squares = tuple(table.entries[i][i] for i in (2, 3, 4))
+            for _ in range(copies if squares == odd else 1):
+                yield table
 
     monkeypatch.setattr(counting, "_listed", faulty)
-    with pytest.raises(RuntimeError, match="x\\*x = 2 tables are not closed under relabeling"):
+    error = ("a table was emitted twice" if fault == "repeat-first"
+             else "x\\*x = 2 tables are not closed under relabeling")
+    with pytest.raises(RuntimeError, match=error):
         generate_pendant_square_other(4)
 
 
@@ -600,6 +607,54 @@ def test_generators_list_the_oracle_leaves_table_by_table(monkeypatch, n, self_c
 )
 def test_generators_list_the_oracle_leaves_long_run_n6(monkeypatch):
     _assert_generators_list_the_oracle_leaves(monkeypatch, 6, 7969, 64)
+
+
+# (count, sha256 of the newline-joined hex codes, sorted) of the tables each
+# pendant generator passes to _validated, at n=6 and 7, as the generators
+# gave them when they built each table from a list of cells.  Only the
+# writer of the rows changed since, so no pin may move.
+PENDANT_TABLES_SHA256 = {
+    6: {
+        "self": (7969, "e12256a18bebd590ddc63d23576d1068c7992e7eebde615b972e70965b59ae21"),
+        "other": (64, "01f6c18bca6ecbcc2a7ef2219059b62a19e8f02f9988a200654af3cd98dc3b3c"),
+        "zero": (6, "26cd6e2978087bc226fd3dc59b0f95f40df8c11f2f9867500094e01b360c5e79"),
+        "attach": (6, "eaec7a260a219ad364d8aa2b366e892aa688950518268f3fbdc1814ce95cf1ba"),
+    },
+    7: {
+        "self": (83768, "b051f8c09662e483202963a68762cb7c4299ac79e64d714fd21cdf0d10af32be"),
+        "other": (144, "3d904f1ded11392d30708f5ef465e075f010cbc42a721a3562282f1f4854cb42"),
+    },
+}
+PENDANT_GENERATORS = {
+    "self": generate_pendant_square_self,
+    "other": generate_pendant_square_other,
+    "zero": generate_pendant_square_zero,
+    "attach": generate_pendant_square_attach,
+}
+
+
+def pendant_tables_sha256(monkeypatch, case, n):
+    validated = counting._validated
+    codes = []
+    monkeypatch.setattr(counting, "_validated",
+                        lambda table, target: codes.append(table.code) or validated(table, target))
+    PENDANT_GENERATORS[case](n)
+    return len(codes), hashlib.sha256("\n".join(sorted(code.hex() for code in codes)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PENDANT_TABLES_SHA256[6])
+def test_pendant_generator_tables_are_unchanged(monkeypatch, case):
+    # about 0.2 s together, so a change to the row writer fails tier-1
+    assert pendant_tables_sha256(monkeypatch, case, 6) == PENDANT_TABLES_SHA256[6][case]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the n=7 generators run only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+@pytest.mark.parametrize("case", PENDANT_TABLES_SHA256[7])
+def test_pendant_generator_tables_are_unchanged_long_run(monkeypatch, case):
+    assert pendant_tables_sha256(monkeypatch, case, 7) == PENDANT_TABLES_SHA256[7][case]
 
 
 def test_case_catalogs_pairwise_disjoint():
