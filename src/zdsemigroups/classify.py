@@ -324,7 +324,6 @@ class OrbitKeyer:
     an orbit is keyed by ``canonical_form``, and the codes (flattened
     grids as ``bytes``) of the rest of its orbit wait in a pending dict
     with that key; the orbit's other tables pop their key from there.
-    The first code of each orbit is kept, one per class.
 
     The keyer stores only two generators of the group, the
     transposition (a1 a2) and the cycle (a1 a2 ... ak) of ``movable`` =

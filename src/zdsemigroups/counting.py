@@ -330,10 +330,8 @@ def _listed(
     neighbor's row holds only its square, each of ``neighbor_squares(squares)``
     for the squares of 2..n.  The pendant's row is 0, 0, the products of
     2..n, ``pendant_square``.  Each element's rows are written once, one per
-    product and square its statement allows, so the lookup is as small as
-    the statement's domains; every choice of one row per element is one
-    table, built from its rows with no list of cells, and ``MulTable``
-    still checks it.
+    product and square its statement allows, and every choice of one row
+    per element is one table, which ``MulTable`` still checks.
     """
     m = len(statement) + 2
 
@@ -463,14 +461,12 @@ def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
 
 
 def generate_pendant_square_zero(n: int) -> ClassCatalog:
-    """x*x = 0 family: choose how many of elements 2..n square to 1; one
-    table per choice, written by ``_generate_pointer_family``."""
+    """x*x = 0 family: choose how many of elements 2..n square to 1."""
     return _generate_pointer_family(n, 0)
 
 
 def generate_pendant_square_attach(n: int) -> ClassCatalog:
-    """x*x = 1 family: choose how many of elements 2..n square to 1; one
-    table per choice, written by ``_generate_pointer_family``.
+    """x*x = 1 family: choose how many of elements 2..n square to 1.
 
     Same shape as the zero family with the pendant square moved to the
     neighbor, hence n classes (the all-nilpotent table is the
