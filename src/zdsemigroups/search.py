@@ -37,6 +37,18 @@ seed violates nothing, every node was checked before the search
 descended from it, and a multiset's three products change only through
 a cell they read.
 
+Forced cells.  At a node whose slot (u, v) is unset, a reader (a, b) of
+value u has (ab)v equal to the slot itself, and one of value v has
+(ab)u.  If another pairing of that triple, (av)b or (bv)a (or (au)b or
+(bu)a), is determined while the slot is unset, it does not read the slot,
+so it keeps its value once the slot is set, and every value of the slot
+but that one fails the check of the triple.  So the search tries only
+that value, and only if the slot's domain holds it, and none when two
+readers force different values.  The forced value still goes through the
+full check.  The nodes, the leaves and their order are those of the
+search that tries every value; only trials that would fail are skipped
+(at kn1 n=6 the diagonal slots take 52,277 value trials, not 84,960).
+
 Classification uses the target's own automorphisms.  Two accepted tables
 realize the same labelled graph G, so an isomorphism between them is an
 automorphism of G, and every automorphism of G carries the seed, and so
@@ -68,6 +80,7 @@ from .tables import MulTable, is_zd_semigroup
 DESK_SCALE_LIMIT = 5_000_000
 
 UNSET = -1
+CONFLICT = -2
 
 
 class SearchSpec(NamedTuple):
@@ -212,6 +225,28 @@ def _diagonal_violation(g: list[list[int]], u: int, others) -> bool:
     return False
 
 
+def _forced_value(g: list[list[int]], readers, u: int, v: int) -> int:
+    """The value that the unset slot (u, v) must take, or ``UNSET``.
+
+    A reader (a, b) of value u has (ab)v = the slot, so a determined (av)b
+    or (bv)a is the value the slot must take; likewise with u and v
+    exchanged for a reader of value v.  ``CONFLICT`` when two of them
+    differ.
+    """
+    forced = UNSET
+    for cells, t in ((readers[u], v), (readers[v], u)) if u != v else ((readers[u], v),):
+        row_t = g[t]
+        for a, b in cells:
+            p = row_t[a]
+            q = row_t[b]
+            for value in (g[p][b] if p >= 0 else UNSET, g[q][a] if q >= 0 else UNSET):
+                if value >= 0:
+                    if forced != value and forced >= 0:
+                        return CONFLICT
+                    forced = value
+    return forced
+
+
 def enumerate_labeled(
     target: TargetGraph,
     visitor: Optional[Callable[[MulTable], None]] = None,
@@ -249,6 +284,14 @@ def enumerate_labeled(
                     visitor(table)
             return
         u, v = slots[depth]
+        # Every value but a forced one fails the check of its reader's
+        # triple (see the module docstring).
+        forced = _forced_value(grid, readers, u, v)
+        if forced == CONFLICT:
+            return
+        values = domains[depth]
+        if forced >= 0:
+            values = (forced,) if forced in values else ()
         row_u = grid[u]
         row_v = grid[v]
         # A cell (a, b) whose value is u reads (u, v) in {a, b, v}, and
@@ -259,7 +302,7 @@ def enumerate_labeled(
         else:
             diagonal = ()
             triples = direct[depth] + triples + tuple((a, b, u) for a, b in readers[v])
-        for val in domains[depth]:
+        for val in values:
             row_u[v] = val
             row_v[u] = val
             if diagonal and _diagonal_violation(grid, u, diagonal):

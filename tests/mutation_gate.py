@@ -12,7 +12,8 @@ function (nested functions included):
   ``pass``, so its ``raise`` never runs;
 - ``true``: the condition ``match`` becomes ``True``;
 - ``flip``: the one-operator comparison ``match`` gets the negated
-  operator (``==`` and ``!=``, ``<`` and ``>=``, ``in`` and ``not in``).
+  operator (``==`` and ``!=``, ``<`` and ``>=``, ``in`` and ``not in``);
+- ``less``: the expression ``match``, a bound, becomes ``(match) - 1``.
 
 Only the matched text is replaced, so every other byte of the file and
 every line number stay as they are.  For each guard the gate copies the
@@ -68,7 +69,7 @@ class Guard(NamedTuple):
     name: str
     module: str  # file name under src/zdsemigroups
     function: str  # qualified name, e.g. "MulTable.__init__"
-    edit: str  # "drop", "true" or "flip"
+    edit: str  # "drop", "true", "flip" or "less"
     match: str  # exact source text of the condition or expression
 
 
@@ -91,7 +92,10 @@ GUARDS = (
           'b"".join(itemgetter(*row_u)(rows)) == code.translate(rename)'),
     Guard("associativity-witness-scan", "tables.py", "check_associativity", "flip",
           "lhs_row[w] != rhs_row[w]"),
+    Guard("associativity-scans-1-to-m-1", "tables.py", "check_associativity", "less",
+          "len(rows) - 1"),
     Guard("zero-divisors-every-element", "tables.py", "zero_divisors", "true", "0 in row[1:]"),
+    Guard("zd-semigroup-every-element", "tables.py", "is_zd_semigroup", "true", "0 in row[1:]"),
     Guard("realizes-any-target", "graphs.py", "realizes", "true", "rec.target == target"),
     # the oracle's leaf checks, and pruning that cuts valid branches
     Guard("leaf-zd-semigroup", "search.py", "enumerate_labeled", "true", "is_zd_semigroup(table)"),
@@ -100,6 +104,10 @@ GUARDS = (
     Guard("partial-prunes-agreeing-products", "search.py", "_partial_violation", "flip", "a != c"),
     Guard("diagonal-prunes-agreeing-products", "search.py", "_diagonal_violation", "flip",
           "a != b"),
+    Guard("forced-conflict-needs-two-values", "search.py", "_forced_value", "flip",
+          "forced != value"),
+    Guard("forced-by-a-determined-pairing-only", "search.py", "_forced_value", "true",
+          "value >= 0"),
     # the generators' checks and the orbit keyer's closure check
     Guard("validated-associativity", "counting.py", "_validated", "drop", "witness is not None"),
     Guard("validated-graph", "counting.py", "_validated", "drop",
@@ -176,6 +184,8 @@ NOT_RUN = (
     ("partial-prunes-nothing", "_partial_violation always False: every leaf is still "
      "re-validated, so the search only visits more nodes"),
     ("diagonal-prunes-nothing", "_diagonal_violation always False: the same"),
+    ("forces-nothing", "_forced_value always UNSET: every value of a slot is tried and "
+     "checked, so the search only tries more values"),
 )
 
 
@@ -204,10 +214,10 @@ def _target(guard: Guard, source: str) -> tuple[ast.AST, str]:
                 isinstance(node, ast.Raise) for node in found[0].body)):
             raise StaleGuard(f"{guard.name}: the if statement must raise and have no else")
         replacement = "pass"
-    elif guard.edit == "true":
+    elif guard.edit in ("true", "less"):
         found = [node for node in ast.walk(scope) if isinstance(node, ast.expr)
                  and ast.get_source_segment(source, node) == guard.match]
-        replacement = "True"
+        replacement = "True" if guard.edit == "true" else f"({guard.match}) - 1"
     elif guard.edit == "flip":
         found = [node for node in ast.walk(scope) if isinstance(node, ast.Compare)
                  and len(node.ops) == 1 and ast.get_source_segment(source, node) == guard.match]

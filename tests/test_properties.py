@@ -1,5 +1,5 @@
 """Property tests: canonical keys, the associativity check, the zero-divisor
-graph and table JSON.
+semigroup check, the zero-divisor graph and table JSON.
 
 Hypothesis draws the tables.  The settings are fixed (derandomized, no
 example database), so every run checks the same examples.
@@ -18,9 +18,11 @@ from zdsemigroups.graphs import build_zd_graph  # noqa: E402
 from zdsemigroups.tables import (  # noqa: E402
     MulTable,
     check_associativity,
+    is_zd_semigroup,
     permute_table,
     table_from_json,
     table_to_json,
+    zero_divisors,
 )
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -99,6 +101,13 @@ def test_associativity_check_matches_all_triples(table):
 @given(null_prefix_tables())
 def test_associativity_witness_after_passing_rows_matches_all_triples(table):
     assert check_associativity(table) == first_failing_triple(table)
+
+
+@FIXED
+@given(tables())
+def test_zd_semigroup_is_associative_with_every_element_a_zero_divisor(table):
+    assert is_zd_semigroup(table) == (check_associativity(table) is None
+                                      and zero_divisors(table) == set(range(1, table.m + 1)))
 
 
 @FIXED

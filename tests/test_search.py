@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 from functools import partial
 
 import pytest
@@ -116,7 +117,7 @@ def rescanning_search(target):
     Returns the accepted tables' entries in visit order and the number of
     leaves reached.
     """
-    spec = seed_partial_table(target)
+    spec = search.seed_partial_table(target)
     graph = target_to_graph(target)
     m = graph.vertex_count
     # The starting grid comes from the graph, not from the package's seed:
@@ -180,6 +181,49 @@ def test_cell_reader_index_prunes_like_a_full_rescan(monkeypatch, target):
     # The reference has no budget; kn1 n=5 is over it but takes under a second.
     enumerate_labeled(target, lambda t: accepted.append(t.entries), allow_long_run=True)
     assert (accepted, leaves) == rescanning_search(target)
+
+
+def oracle_run(monkeypatch, target):
+    """The oracle's accepted tables' entries in visit order and its leaves reached."""
+    leaves = 0
+    counted = search.is_zd_semigroup
+
+    def counting(table):
+        nonlocal leaves
+        leaves += 1
+        return counted(table)
+
+    monkeypatch.setattr(search, "is_zd_semigroup", counting)
+    accepted = []
+    enumerate_labeled(target, lambda t: accepted.append(t.entries), allow_long_run=True)
+    return accepted, leaves
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("target", [CompleteK(3), CompleteK(4), CompletePlusEnd(3),
+                                    CompletePlusEnd(4)], ids=str)
+def test_forced_cells_prune_like_a_full_rescan_on_random_seeds(monkeypatch, target, seed):
+    # The slots come in a random order, and each draws about 4/5 of 0..m in
+    # a random order: pendant products may hold 0, a forced value may be
+    # missing from its domain, and at kn1 two readers may force different
+    # values.
+    rng = random.Random(f"{target}-{seed}")
+    spec = seed_partial_table(target)
+    values = range(target.element_count + 1)
+    slots = rng.sample(spec.slots, len(spec.slots))
+    domains = tuple(tuple(x for x in rng.sample(values, len(values)) if rng.random() < 0.8)
+                    for _ in slots)
+    monkeypatch.setattr(search, "seed_partial_table",
+                        lambda target: search.SearchSpec(tuple(slots), domains))
+    assert oracle_run(monkeypatch, target) == rescanning_search(target)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ZDSG_LONG_RUN"),
+    reason="the kn1 n=6 rescan runs only under the long-run flag (set ZDSG_LONG_RUN=1)",
+)
+def test_cell_reader_index_prunes_like_a_full_rescan_long_run_kn1_n6(monkeypatch):
+    assert oracle_run(monkeypatch, CompletePlusEnd(6)) == rescanning_search(CompletePlusEnd(6))
 
 
 def test_oracle_leaves_check_the_graph(monkeypatch):

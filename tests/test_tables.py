@@ -194,6 +194,18 @@ def test_associativity_witness_after_passing_element_rows():
     assert check_associativity(table) == AssocWitness(4, 4, 5, 4, 0)
 
 
+def test_associativity_witness_when_every_failing_triple_holds_m():
+    # 3 * 3 = 4 and 3 * 4 = 3: every failing triple holds 4, and the
+    # check, which scans u < m only, finds the first of the full scan
+    table = MulTable.from_cells(4, [((3, 3), 4), ((3, 4), 3)])
+    ent = table.entries
+    failing = [AssocWitness(u, v, w, ent[ent[u][v]][w], ent[u][ent[v][w]])
+               for u in range(1, 5) for v in range(1, 5) for w in range(1, 5)
+               if ent[ent[u][v]][w] != ent[u][ent[v][w]]]
+    assert [f[:3] for f in failing] == [(3, 3, 4), (3, 4, 4), (4, 3, 3), (4, 4, 3)]
+    assert check_associativity(table) == failing[0] == AssocWitness(3, 3, 4, 0, 4)
+
+
 @pytest.mark.parametrize("entry", [1.5, 1.0, "1", None, True])
 def test_from_rows_refuses_an_entry_that_is_not_an_int(entry):
     # from_rows once coerced entries with int(); now they must already be ints
