@@ -23,30 +23,31 @@ differ.  A diagonal slot (u, u) therefore checks its direct multisets
 whose three pairings are all (uu)u; it prunes what the three-way
 comparison would.
 
-The pruning is incremental.  Evaluating a multiset reads the cells of
-its pairs and then, for each pair product p, the cell (p, third
-element).  So cell (u, v) is read by {u, v, w} for every w, by
-{a, b, v} for every cell (a, b) whose value is u, and by {a, b, u} for
-every cell whose value is v.  After setting (u, v) the search rechecks
-just those multisets, finding the last two kinds through ``readers``,
-the assigned free cells listed by value.  The other cells hold 0, and a
-product 0 reads only the zero row, so they never read a free cell and
-``readers`` leaves them out.  This prunes exactly the nodes a rescan of
-every multiset would: at the root every determined product is 0, so the
+The search checks only the slot it has just set, and prunes exactly the
+nodes a rescan of every multiset would.  Evaluating a multiset reads the
+cells of its pairs and then, for each pair product p, the cell
+(p, third element).  So cell (u, v) is read by its direct triples
+{u, v, w}, for every w, by {a, b, v} for every cell (a, b) whose value
+is u, and by {a, b, u} for every cell whose value is v.  ``readers``
+lists the assigned free cells by value; the other cells hold 0, and a
+product 0 reads only the zero row, so they never read a free cell.  The
+search checks the direct triples after setting the slot, and
+``_forced_value`` decides the reader triples before any value is
+tried.  Take a reader (a, b) of value u: (ab)v is the slot itself, and
+each of the other two pairings of {a, b, v}, (av)b and (bv)a, is in one
+of three cases.  It does not read the slot and is determined: the forced
+value is then the only value tried, and the node is pruned when two
+readers force different values or the slot's domain lacks the forced
+one.  It does not read the slot and is undetermined, so it stays
+undetermined.  Or it reads the slot: then u is a or b, and the multiset
+is a direct triple, or the pairing's inner product is u and its outer
+factor is v, and the pairing is (ab)v itself.  A reader of value v is the
+same with u and v exchanged.  So no reader triple disagrees once the
+direct triples agree.  At the root every determined product is 0, so the
 seed violates nothing, every node was checked before the search
-descended from it, and a multiset's three products change only through
-a cell they read.
-
-Forced cells.  At a node whose slot (u, v) is unset, a reader (a, b) of
-value u has (ab)v equal to the slot itself, and one of value v has
-(ab)u.  If another pairing of that triple, (av)b or (bv)a (or (au)b or
-(bu)a), is determined while the slot is unset, it does not read the slot,
-so it keeps its value once the slot is set, and every value of the slot
-but that one fails the check of the triple.  So the search tries only
-that value, and only if the slot's domain holds it, and none when two
-readers force different values.  The forced value still goes through the
-full check.  The nodes, the leaves and their order are those of the
-search that tries every value; only trials that would fail are skipped
+descended from it, and a multiset's three products change only through a
+cell they read.  The nodes, the leaves and their order are therefore
+those of the rescan; the forced value only skips trials that would fail
 (at kn1 n=6 the diagonal slots take 52,277 value trials, not 84,960).
 
 Classification uses the target's own automorphisms.  Two accepted tables
@@ -67,6 +68,7 @@ subgroup, which keys every table by ``canonical_form``.)
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import log10, prod
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -231,7 +233,9 @@ def _forced_value(g: list[list[int]], readers, u: int, v: int) -> int:
     A reader (a, b) of value u has (ab)v = the slot, so a determined (av)b
     or (bv)a is the value the slot must take; likewise with u and v
     exchanged for a reader of value v.  ``CONFLICT`` when two of them
-    differ.
+    differ.  Once the slot is set the search checks only its direct
+    triples, so this forcing is what keeps every reader triple in
+    agreement and the pruning exact (see the module docstring).
     """
     forced = UNSET
     for cells, t in ((readers[u], v), (readers[v], u)) if u != v else ((readers[u], v),):
@@ -265,11 +269,15 @@ def enumerate_labeled(
     slots = spec.slots
     domains = spec.domains
     depth_max = len(slots)
-    # Triples that read a slot's cell (u, v) directly: {u, v, w} for every w.
-    # A diagonal slot lists only the w != u of its {u, u, w}, for
-    # ``_diagonal_violation``; {u, u, u} has a single product.
-    direct = [tuple((u, v, w) for w in range(1, m + 1)) if u != v
-              else tuple(w for w in range(1, m + 1) if w != u) for u, v in slots]
+    # Each slot's check of the triples that read its cell (u, v) directly,
+    # {u, v, w} for every w; ``_forced_value`` has decided the triples that
+    # read it through another cell.  A diagonal slot checks only the w != u
+    # of its {u, u, w}, by ``_diagonal_violation``; {u, u, u} has a single
+    # product.
+    direct = [partial(_partial_violation, grid, tuple((u, v, w) for w in range(1, m + 1)))
+              if u != v else partial(_diagonal_violation, grid, u,
+                                     tuple(w for w in range(1, m + 1) if w != u))
+              for u, v in slots]
     # readers[p]: the assigned slot cells whose value is p.
     readers: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
     accepted = 0
@@ -284,8 +292,9 @@ def enumerate_labeled(
                     visitor(table)
             return
         u, v = slots[depth]
-        # Every value but a forced one fails the check of its reader's
-        # triple (see the module docstring).
+        # Every value but a forced one breaks its reader's triple; the
+        # forcing stands in for checking those triples (see the module
+        # docstring).
         forced = _forced_value(grid, readers, u, v)
         if forced == CONFLICT:
             return
@@ -294,20 +303,11 @@ def enumerate_labeled(
             values = (forced,) if forced in values else ()
         row_u = grid[u]
         row_v = grid[v]
-        # A cell (a, b) whose value is u reads (u, v) in {a, b, v}, and
-        # one whose value is v reads it in {a, b, u}.
-        triples = tuple((a, b, v) for a, b in readers[u])
-        if u == v:
-            diagonal = direct[depth]
-        else:
-            diagonal = ()
-            triples = direct[depth] + triples + tuple((a, b, u) for a, b in readers[v])
+        violated = direct[depth]
         for val in values:
             row_u[v] = val
             row_v[u] = val
-            if diagonal and _diagonal_violation(grid, u, diagonal):
-                continue
-            if not _partial_violation(grid, triples):
+            if not violated():
                 reading = readers[val]
                 reading.append((u, v))
                 descend(depth + 1)

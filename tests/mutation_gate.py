@@ -97,7 +97,7 @@ GUARDS = (
     Guard("zero-divisors-every-element", "tables.py", "zero_divisors", "true", "0 in row[1:]"),
     Guard("zd-semigroup-every-element", "tables.py", "is_zd_semigroup", "true", "0 in row[1:]"),
     Guard("realizes-any-target", "graphs.py", "realizes", "true", "rec.target == target"),
-    # the oracle's leaf checks, and pruning that cuts valid branches
+    # the oracle's leaf checks, and pruning and forcing that cut valid branches or none
     Guard("leaf-zd-semigroup", "search.py", "enumerate_labeled", "true", "is_zd_semigroup(table)"),
     Guard("leaf-realizes", "search.py", "enumerate_labeled", "true",
           "realizes(table, target) is not None"),
@@ -108,6 +108,9 @@ GUARDS = (
           "forced != value"),
     Guard("forced-by-a-determined-pairing-only", "search.py", "_forced_value", "true",
           "value >= 0"),
+    Guard("forces-nothing", "search.py", "_forced_value", "flip", "value >= 0"),
+    Guard("slot-check-prunes-nothing", "search.py", "enumerate_labeled", "true",
+          "not violated()"),
     # the generators' checks and the orbit keyer's closure check
     Guard("validated-associativity", "counting.py", "_validated", "drop", "witness is not None"),
     Guard("validated-graph", "counting.py", "_validated", "drop",
@@ -178,16 +181,6 @@ GUARDS = (
 
 # The test file of a module whose name it does not share.
 CATCHERS = {"reports.py": "test_reports_cli.py", "cli.py": "test_reports_cli.py"}
-
-# Mutants that can only cost time, so no test can catch them; listed, not run.
-NOT_RUN = (
-    ("partial-prunes-nothing", "_partial_violation always False: every leaf is still "
-     "re-validated, so the search only visits more nodes"),
-    ("diagonal-prunes-nothing", "_diagonal_violation always False: the same"),
-    ("forces-nothing", "_forced_value always UNSET: every value of a slot is tried and "
-     "checked, so the search only tries more values"),
-)
-
 
 class StaleGuard(Exception):
     """A guard's ``match`` does not name exactly one node of its function."""
@@ -318,8 +311,6 @@ def main(names: list[str]) -> int:
                 print(f"{guard.name:<40} {verdict} in {seconds:.1f} s: {summary}", flush=True)
                 if passed:
                     survivors.append(guard.name)
-    for name, reason in NOT_RUN:
-        print(f"{name:<40} not run: {reason}")
     print(f"{len(guards) - len(survivors)} of {len(guards)} guards caught, "
           f"{len(survivors)} survived, in {perf_counter() - started:.0f} s")
     return 1 if survivors else 0

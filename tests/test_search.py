@@ -200,8 +200,13 @@ def oracle_run(monkeypatch, target):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("target", [CompleteK(3), CompleteK(4), CompletePlusEnd(3),
-                                    CompletePlusEnd(4)], ids=str)
+@pytest.mark.parametrize("target", [
+    CompleteK(3), CompleteK(4), CompleteK(5), CompletePlusEnd(3), CompletePlusEnd(4),
+    pytest.param(CompletePlusEnd(5), id="long_run_kn1_n5", marks=pytest.mark.skipif(
+        not os.environ.get("ZDSG_LONG_RUN"),
+        reason="the kn1 n=5 random-seed rescans run only under the long-run flag "
+               "(set ZDSG_LONG_RUN=1)")),
+], ids=str)
 def test_forced_cells_prune_like_a_full_rescan_on_random_seeds(monkeypatch, target, seed):
     # The slots come in a random order, and each draws about 4/5 of 0..m in
     # a random order: pendant products may hold 0, a forced value may be
