@@ -358,10 +358,10 @@ def _self_choices(others, fixed, zeros: tuple, neighbor: int) -> list:
     (3) a fixed element is its own pendant product, and squares to 0 if
     it is in Z, otherwise to itself or an element of Z; (2) any other
     element is sent into Z and squares to 0 or the neighbor.  (1) follows,
-    as Z is empty unless an element is fixed.  Non-fixed elements come first.
+    as Z is empty unless an element is fixed.
     """
     return [(i, (i,), (0,) if i in zeros else (i, *zeros)) if i in fixed
-            else (i, zeros, (0, neighbor)) for i in sorted(others, key=fixed.__contains__)]
+            else (i, zeros, (0, neighbor)) for i in others]
 
 
 def _neighbor_squares(squares, neighbor: int) -> tuple:

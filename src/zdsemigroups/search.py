@@ -14,41 +14,42 @@ optimization only and nothing is trusted by construction.
 
 For a commutative table the associative law for every ordered triple is
 equivalent to, for each multiset {u, v, w}, the three products
-(uv)w, (vw)u, (uw)v agreeing; the pruner compares whichever of the
-three are already determined.  On a multiset {u, u, w} the second and
-third pairings are the same product (uw)u, so two determined values
-there disagree exactly when (uu)w and (uw)u are both determined and
-differ.  A diagonal slot (u, u) therefore checks its direct multisets
-{u, u, w} by comparing those two products only, and skips {u, u, u},
-whose three pairings are all (uu)u; it prunes what the three-way
-comparison would.
-
-The search checks only the slot it has just set, and prunes exactly the
-nodes a rescan of every multiset would.  Evaluating a multiset reads the
-cells of its pairs and then, for each pair product p, the cell
-(p, third element).  So cell (u, v) is read by its direct triples
-{u, v, w}, for every w, by {a, b, v} for every cell (a, b) whose value
-is u, and by {a, b, u} for every cell whose value is v.  ``readers``
-lists the assigned free cells by value; the other cells hold 0, and a
-product 0 reads only the zero row, so they never read a free cell.  The
-search checks the direct triples after setting the slot, and
-``_forced_value`` decides the reader triples before any value is
-tried.  Take a reader (a, b) of value u: (ab)v is the slot itself, and
-each of the other two pairings of {a, b, v}, (av)b and (bv)a, is in one
-of three cases.  It does not read the slot and is determined: the forced
-value is then the only value tried, and the node is pruned when two
-readers force different values or the slot's domain lacks the forced
-one.  It does not read the slot and is undetermined, so it stays
-undetermined.  Or it reads the slot: then u is a or b, and the multiset
-is a direct triple, or the pairing's inner product is u and its outer
-factor is v, and the pairing is (ab)v itself.  A reader of value v is the
-same with u and v exchanged.  So no reader triple disagrees once the
-direct triples agree.  At the root every determined product is 0, so the
-seed violates nothing, every node was checked before the search
-descended from it, and a multiset's three products change only through a
-cell they read.  The nodes, the leaves and their order are therefore
-those of the rescan; the forced value only skips trials that would fail
-(at kn1 n=6 the diagonal slots take 52,277 value trials, not 84,960).
+(uv)w, (vw)u, (uw)v agreeing.  The search checks only the cell it has
+just set, by one rule: a new cell can only disagree through the pairing
+that reads it.  It prunes exactly the nodes a rescan comparing the
+determined products of every multiset would.  A pairing (xy)z reads its
+inner cell (x, y) and then its outer cell (xy, z), so slot (u, v) is an
+inner cell of (uv)w for every w, and an outer cell of (ab)v for every
+cell (a, b) whose value is u and of (ab)u for every cell whose value is
+v.  ``readers`` lists the assigned free cells by value; the other cells
+hold 0, and a product 0 reads only the zero row, so they never read a
+free cell.  Before any value is tried, ``_forced_value`` takes each
+reader (a, b) of value u, whose (ab)v is the slot.  Each other pairing
+of {a, b, v}, (av)b or (bv)a, either does not read the slot and is
+determined, and is then the only value tried (the node is pruned when
+two readers force different values or the slot's domain lacks the
+forced one); or does not read it and stays undetermined; or reads it,
+and then u is a or b, so {a, b, v} is a direct triple, or its inner
+product is u and its outer factor v, so it is (ab)v itself.  A reader of
+value v is the same with u and v exchanged.  Once the slot is set,
+``_partial_violation`` compares (uv)w of each direct triple with
+whichever of (vw)u and (uw)v is determined, and reads neither while
+(uv)w is undetermined, because those two then agree.  With w = u, (vw)u
+is (uv)w itself, and with w = v, (uw)v is, so only one pairing is left.
+If neither reads the slot, both were as they are before it was set, and
+agreed then.  (vw)u reads the slot only through its outer cell, when
+vw = v; then (v, w) is a reader of value v, so the forced value made the
+slot, and so (vw)u, equal to a determined (uw)v.  uw = u is the same
+with u and v exchanged, and if both read the slot, both equal it.  A
+diagonal slot (u, u) checks its {u, u, w} by ``_diagonal_violation``,
+whose second and third pairings are the same product (uw)u: it compares
+(uu)w with (uw)u, and skips {u, u, u}, whose three pairings are all
+(uu)u.  At the root every determined product is 0, so the seed violates
+nothing, every node was checked before the search descended from it,
+and a multiset's products change only through a cell they read.  The
+nodes, the leaves and their order are therefore those of the rescan;
+the forced value only skips trials that would fail (at kn1 n=6 the
+diagonal slots take 52,277 value trials, not 84,960).
 
 Classification uses the target's own automorphisms.  Two accepted tables
 realize the same labelled graph G, so an isomorphism between them is an
@@ -193,19 +194,21 @@ def iter_candidate_tables(spec: SearchSpec) -> Iterator[MulTable]:
 
 
 def _partial_violation(g: list[list[int]], triples) -> bool:
-    """Do two determined parenthesizations of some multiset disagree?"""
+    """Does a determined (uv)w disagree with a determined (vw)u or (uw)v?
+
+    In each triple (u, v, w), (u, v) is the cell just set, so (uv)w is
+    the pairing that reads it.  Where (uv)w is undetermined the other two
+    cannot disagree, so they are not read (see the module docstring).
+    """
     for u, v, w in triples:
-        p = g[u][v]
-        a = g[p][w] if p >= 0 else UNSET
-        q = g[v][w]
-        b = g[q][u] if q >= 0 else UNSET
-        r = g[u][w]
-        c = g[r][v] if r >= 0 else UNSET
+        a = g[g[u][v]][w]
         if a >= 0:
+            q = g[v][w]
+            b = g[q][u] if q >= 0 else UNSET
+            r = g[u][w]
+            c = g[r][v] if r >= 0 else UNSET
             if (b >= 0 and a != b) or (c >= 0 and a != c):
                 return True
-        elif b >= 0 and c >= 0 and b != c:
-            return True
     return False
 
 

@@ -15,20 +15,22 @@ function (nested functions included):
   operator (``==`` and ``!=``, ``<`` and ``>=``, ``in`` and ``not in``);
 - ``less``: the expression ``match``, a bound, becomes ``(match) - 1``.
 
-Only the matched text is replaced, so every other byte of the file and
-every line number stay as they are.  For each guard the gate copies the
-tree to a fresh temporary directory, applies the edit there and runs
-tier-1 with ``-x``.  A failing run means a test caught the mutant; a
-passing run means it survived.  Tier-1 is passed as every
+Only the matched text is replaced, so every other byte of the file stays
+as it is.  A match that spans lines is padded with the newlines its
+replacement lacks, inside parentheses unless the edit is ``drop``, so
+every line number stays and the mutant still parses.  For each guard the
+gate copies the tree to a fresh temporary directory, applies the edit
+there and runs tier-1 with ``-x``.  A failing run means a test caught
+the mutant; a passing run means it survived.  Tier-1 is passed as every
 ``tests/test_*.py`` file by name, with the guard's catcher first: the
 test file named after its module (``tables.py`` -> ``test_tables.py``;
 ``reports.py`` and ``cli.py`` -> ``test_reports_cli.py``).  pytest keeps
-the order of file arguments, so the test most likely to fail runs
-first; every file still runs unless one fails, so no verdict depends on
-the order.  Before the guards, the unmutated copy must pass, or no
-verdict would mean anything.  The guards' runs then go side by side, one
-per CPU (``os.cpu_count()``), each in its own copy; their verdicts print
-in ``GUARDS`` order.
+the order of file arguments, so the test most likely to fail runs first;
+every file still runs unless one fails, so no verdict depends on the
+order.  Before the guards, the unmutated copy must pass, or no verdict
+would mean anything.  The guards' runs then go side by side, one per CPU
+(``os.cpu_count()``), each in its own copy; their verdicts print in
+``GUARDS`` order.
 
 Exit status: 0 when every guard is caught, 1 when any survives, 2 when
 the unmutated tree fails or a guard's ``match`` does not name exactly
@@ -102,6 +104,8 @@ GUARDS = (
     Guard("leaf-realizes", "search.py", "enumerate_labeled", "true",
           "realizes(table, target) is not None"),
     Guard("partial-prunes-agreeing-products", "search.py", "_partial_violation", "flip", "a != c"),
+    Guard("partial-needs-the-new-cells-pairing", "search.py", "_partial_violation", "true",
+          "a >= 0"),
     Guard("diagonal-prunes-agreeing-products", "search.py", "_diagonal_violation", "flip",
           "a != b"),
     Guard("forced-conflict-needs-two-values", "search.py", "_forced_value", "flip",
@@ -169,6 +173,7 @@ GUARDS = (
     Guard("clique-generator-needs-size-1", "counting.py", "generate_clique_classes", "drop",
           "n < 1"),
     Guard("complete-graph-needs-size-1", "graphs.py", "CompleteK.__init__", "drop", "n < 1"),
+    Guard("budget-refusal-power-of-ten", "search.py", "_decimal", "less", "int(log10(count))"),
     Guard("table-cells-within-1-to-m", "tables.py", "MulTable.from_cells", "drop",
           "not (type(u) is type(v) is int and 0 < u <= m and 0 < v <= m)"),
     Guard("table-cell-ids-are-ints", "tables.py", "MulTable.from_cells", "true",
@@ -235,7 +240,10 @@ def mutate(guard: Guard, source: str) -> str:
         starts.append(starts[-1] + len(line))
     begin = starts[node.lineno - 1] + node.col_offset
     end = starts[node.end_lineno - 1] + node.end_col_offset
-    replacement += "\n" * (node.end_lineno - node.lineno)  # later lines keep their numbers
+    # Later lines keep their numbers; inside parentheses the padding also
+    # parses where the match ends before an if header's colon.
+    padding = "\n" * (node.end_lineno - node.lineno - replacement.count("\n"))
+    replacement = replacement + padding if guard.edit == "drop" else f"({replacement}{padding})"
     mutant = (data[:begin] + replacement.encode() + data[end:]).decode()
     if ast.dump(ast.parse(mutant)) == ast.dump(ast.parse(source)):
         raise StaleGuard(f"{guard.name}: the edit changes nothing")

@@ -8,11 +8,17 @@ from pathlib import Path
 import pytest
 
 from zdsemigroups import counting, reports
-from zdsemigroups.classify import canonical_form, key_from_hex, key_to_hex, table_from_key
+from zdsemigroups.classify import (
+    ClassCatalog,
+    canonical_form,
+    key_from_hex,
+    key_to_hex,
+    table_from_key,
+)
 from zdsemigroups.cli import main
 from zdsemigroups.counting import PENDANT_CASES, pendant_case_breakdown
 from zdsemigroups.errors import UsageError
-from zdsemigroups.graphs import CompleteK, CompletePlusEnd
+from zdsemigroups.graphs import CompleteK, CompletePlusEnd, realizes
 from zdsemigroups.reports import (
     ResultsCache,
     build_count_report,
@@ -22,7 +28,7 @@ from zdsemigroups.reports import (
     run_verification,
 )
 from zdsemigroups.search import iter_candidate_tables, oracle_classes, seed_partial_table
-from zdsemigroups.tables import check_associativity, permute_table, table_to_json
+from zdsemigroups.tables import MulTable, check_associativity, permute_table, table_to_json
 
 
 def test_count_report_kn_consistent():
@@ -384,6 +390,18 @@ def test_verify_invariance_row_fails_on_a_key_that_moves_with_the_labels(monkeyp
     rows, code = run_verification(1, 1)
     row = next(r for r in rows if r.label == INVARIANCE_ROW)
     assert (row.status, row.detail, code) == ("FAIL", "violated", 1)
+
+
+def test_clique_ideal_row_names_a_class_whose_clique_square_is_the_pendant():
+    # K_3 on 1..3 with the pendant 4 on 1; 2*2 = 4 takes the clique out
+    # of the ideal (this table is not associative: the row reads the graph
+    # and the products only)
+    table = MulTable.from_cells(4, [((2, 2), 4), ((2, 4), 2), ((3, 4), 3), ((4, 4), 4)])
+    assert realizes(table, CompletePlusEnd(3)) is not None
+    catalog = ClassCatalog()
+    catalog.insert(table)
+    (entry,) = catalog.entries()
+    assert reports._ideal_violations(catalog, CompletePlusEnd(3)) == [entry.representative]
 
 
 def test_verify_render_deterministic():

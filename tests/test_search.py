@@ -220,7 +220,24 @@ def test_forced_cells_prune_like_a_full_rescan_on_random_seeds(monkeypatch, targ
                     for _ in slots)
     monkeypatch.setattr(search, "seed_partial_table",
                         lambda target: search.SearchSpec(tuple(slots), domains))
+    # At every node, an off-diagonal slot's check, which compares only
+    # through (uv)w, prunes what comparing all three pairings would; the
+    # rescan below compares the leaves only.
+    checked = search._partial_violation
+    calls = 0
+
+    def three_way(g, triples):
+        nonlocal calls
+        calls += 1
+        violated = checked(g, triples)
+        assert violated == any(
+            len({g[g[x][y]][z] for x, y, z in ((u, v, w), (v, w, u), (u, w, v))
+                 if g[x][y] >= 0 and g[g[x][y]][z] >= 0}) > 1 for u, v, w in triples)
+        return violated
+
+    monkeypatch.setattr(search, "_partial_violation", three_way)
     assert oracle_run(monkeypatch, target) == rescanning_search(target)
+    assert (calls > 0) == isinstance(target, CompletePlusEnd)
 
 
 @pytest.mark.skipif(
@@ -293,6 +310,17 @@ def test_budget_gate_at_n4000_builds_no_seed(monkeypatch, capsys):
     assert str(refusal.value) == message
     assert main(["count", "--graph", "kn1", "--n", "4000", "--method", "oracle"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("power, offset, text", [
+    (100, -1, "9" * 100),
+    (100, 0, "more than 10^99"),
+    (100, 1, "more than 10^100"),
+    # the float log10 rounds up to 5000 here, and the loop corrects it
+    (5000, -1, "more than 10^4999"),
+])
+def test_leaf_count_text_is_decimal_or_the_largest_power_of_ten_below(power, offset, text):
+    assert search._decimal(10**power + offset) == text
 
 
 @pytest.mark.parametrize(
