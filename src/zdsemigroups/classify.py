@@ -49,6 +49,15 @@ tried there: g keeps the node, so it maps x's child onto that element's
 child, whose subtree is searched already, and x's subtree holds only
 keys seen there.  Twins are the transposition case.
 
+A table whose nonzero products all lie on the diagonal, as every clique
+table's do, is read on its diagonal alone; two byte counts on its code
+tell, once per call.  An off-diagonal cell (u, v) of such a table sees
+only products of two different elements, all 0, so it is fixed at 0
+under every partition.  It is never the first unfixed cell, and it never
+ends a tie with the best key, since every leaf's key holds 0 there.  So
+skipping those cells leaves the nodes, branches, ties, automorphisms and
+key of the full scan, and the key gets 0 at each of them.
+
 ``ClassCatalog`` keys a table with ``canonical_form`` unless its caller
 passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
 in which each class is one orbit of a known symmetric group of
@@ -102,7 +111,10 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
     ent = table.entries
     code = table.code
     m = table.m
-    cells = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+    # every nonzero product on the diagonal: then only the diagonal is read
+    diagonal = code.count(0) - code[:: m + 2].count(0) == m * (m + 1)
+    triangle = [(u, v) for u in range(1, m + 1) for v in range(u, m + 1)]
+    cells = [(u, u) for u in range(1, m + 1)] if diagonal else triangle
     best: list[int] = []
     leader: list[list[int]] = []  # the best leaf's blocks
     autos: list[list[int]] = []  # one per tie: element -> image
@@ -190,6 +202,9 @@ def _least_key(table: MulTable, blocks: list[list[int]]) -> CanonicalKey:
 
     descend([block for block in blocks if block], [])
     del descend  # it refers to itself: free the search's state now, not at a gc pass
+    if diagonal:
+        squares = iter(best)
+        return tuple(next(squares) if u == v else 0 for u, v in triangle)
     return tuple(best)
 
 

@@ -129,6 +129,9 @@ GUARDS = (
           "all(of[g[e]] == of[e] for e in range(1, m + 1))"),
     Guard("orbit-prune-onto-a-tried-element", "classify.py", "_least_key", "flip",
           "g[x] in tried"),
+    # the canonical search reads only the diagonal when no other product is nonzero
+    Guard("diagonal-scan-needs-a-zero-off-diagonal", "classify.py", "_least_key", "flip",
+          "code.count(0) - code[:: m + 2].count(0) == m * (m + 1)"),
     # the pendant case statements, which the checks and the generators share
     Guard("self-case-zeros-square-to-0", "counting.py", "_self_choices", "flip", "i in zeros"),
     Guard("self-case-neighbor-square", "counting.py", "_neighbor_squares", "flip",

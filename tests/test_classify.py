@@ -174,6 +174,39 @@ def test_canonical_form_matches_brute_force_on_symmetric_tables():
                 assert canonical_form(relabeled) == key, relabeled.entries
 
 
+def test_tables_with_only_squares_nonzero_are_keyed_by_their_diagonal():
+    # When every nonzero product is a square, the search reads only the
+    # diagonal and puts 0 at every other cell of the key.  Checked against
+    # the brute-force minimum on such tables with any diagonal (associative
+    # or not), each under four relabelings; on automorphism-rich tables
+    # with their off-diagonal products cleared, which keeps their
+    # automorphisms; and on tables with one nonzero off-diagonal pair,
+    # which must be read in full.
+    rng = random.Random(12)
+
+    def relabelings(table):
+        m = table.m
+        return [permute_table(table, [0] + rng.sample(range(1, m + 1), m)) for _ in range(4)]
+
+    diagonal = [clique_table([rng.randint(0, m) for _ in range(m)])
+                for m, count in ((1, 2), (2, 6), (3, 10), (4, 16), (5, 16), (6, 12))
+                for _ in range(count)]
+    diagonal += [clique_table([t.entries[u][u] for u in range(1, m + 1)])
+                 for m, count in ((4, 10), (5, 10), (6, 10))
+                 for t in (table_invariant_under(rng, m) for _ in range(count))]
+    for table in diagonal:
+        key = class_key(table.entries)
+        for relabeled in [table, *relabelings(table)]:
+            assert canonical_form(relabeled) == key, relabeled.entries
+    for m in range(2, 7):
+        for _ in range(8):
+            grid = [list(row) for row in clique_table([rng.randint(0, m) for _ in range(m)]).entries]
+            u, v = rng.sample(range(1, m + 1), 2)
+            grid[u][v] = grid[v][u] = rng.randint(1, m)
+            table = MulTable.from_rows(grid)
+            assert canonical_form(table) == class_key(table.entries), table.entries
+
+
 def test_key_shape_and_reconstruction():
     t = clique_table([0, 1, 0])
     key = canonical_form(t)

@@ -132,33 +132,37 @@ def test_clique_generator_matches_formula_up_to_8():
 # sha256 of the newline-joined hex keys of generate_clique_classes(n): at
 # n=12 and 13 as the canonical search gave them before it pruned by
 # automorphisms, at n=9 and 10 as it gave them with an orbit cut and a
-# jump-back cut.  The key is a minimum, so no pruning may change it.
+# jump-back cut, at n=14 and 15 as it gave them reading every key cell,
+# before it read only the diagonal of a clique table.  The key is a
+# minimum, so no pruning or skipped cell may change it.
 CLIQUE_KEYS_SHA256 = {
     9: "573095562c1e3954d1e6787a7c397578a7e6dfd985cc5cb0fdcec3a562f88d08",
     10: "369a3b8679ca8b41677d6036ee2f074008b3bcbc0d5c6a0d3f41c3712042d8d9",
     12: "d75db80e36e796d211d4b9621d085b2992746483db041f64c978905d2ce55718",
     13: "23802f6a7aef2081703d5ea5c4d9f7b598510d0989fbe9f51e70cca035ef2c00",
+    14: "63fa1d68c318c4c426ca6145de7c0ef323bd8e905161f5eb8f7ec0d4c5c5562c",
+    15: "f8d123b965b765c2229c04a095542e8ced31ab6cf3896588f983ee4b3318d934",
 }
 
 
-def clique_keys_sha256(n):
-    keys = "\n".join(map(key_to_hex, generate_clique_classes(n).keys()))
+def keys_sha256(catalog):
+    keys = "\n".join(map(key_to_hex, catalog.keys()))
     return hashlib.sha256(keys.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_clique_generator_keys_are_unchanged(n):
     # about 0.3 s together, so a change to the canonical search fails tier-1
-    assert clique_keys_sha256(n) == CLIQUE_KEYS_SHA256[n]
+    assert keys_sha256(generate_clique_classes(n)) == CLIQUE_KEYS_SHA256[n]
 
 
 @pytest.mark.skipif(
     not os.environ.get("ZDSG_LONG_RUN"),
-    reason="the n=12 and n=13 generators run only under the long-run flag (set ZDSG_LONG_RUN=1)",
+    reason="the n=12 to 14 generators run only under the long-run flag (set ZDSG_LONG_RUN=1)",
 )
-@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("n", [12, 13, 14])
 def test_clique_generator_keys_are_unchanged_long_run(n):
-    assert clique_keys_sha256(n) == CLIQUE_KEYS_SHA256[n]
+    assert keys_sha256(generate_clique_classes(n)) == CLIQUE_KEYS_SHA256[n]
 
 
 @pytest.mark.skipif(
@@ -167,7 +171,9 @@ def test_clique_generator_keys_are_unchanged_long_run(n):
 )
 def test_clique_generator_matches_formula_long_run_n15():
     # 15 is the largest size that hex keys allow
-    assert generate_clique_classes(15).class_count == clique_class_count(15) == 684
+    catalog = generate_clique_classes(15)
+    assert catalog.class_count == clique_class_count(15) == 684
+    assert keys_sha256(catalog) == CLIQUE_KEYS_SHA256[15]
 
 
 def test_clique_generator_matches_oracle():
