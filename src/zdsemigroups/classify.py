@@ -76,7 +76,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import UsageError
 from .graphs import CompleteK, realizes
-from .tables import MulTable, _relabeling, _swap, table_from_json, table_to_json
+from .tables import MulTable, _relabeling, _swap
 
 CanonicalKey = tuple  # flat upper triangle of the minimal relabeling
 MAX_HEX_ELEMENTS = 15  # one hex digit per key value
@@ -301,31 +301,6 @@ class ClassCatalog:
 
     def merge(self, other: "ClassCatalog") -> None:
         self._multiplicity.update(other._multiplicity)
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "key": key_to_hex(e.key),
-                "multiplicity": e.multiplicity,
-                "table": table_to_json(e.representative),
-            }
-            for e in self.entries()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "ClassCatalog":
-        catalog = cls()
-        for item in obj:
-            key = key_from_hex(item["key"])
-            if key in catalog._multiplicity:
-                raise ValueError(f"class {item['key']} is listed twice")
-            multiplicity = item["multiplicity"]
-            if type(multiplicity) is not int or multiplicity < 1:
-                raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
-            if table_from_json(item["table"]) != table_from_key(key):
-                raise ValueError(f"class {key_to_hex(key)} stores a table other than its key's")
-            catalog._multiplicity[key] = multiplicity
-        return catalog
 
 
 class OrbitKeyer:

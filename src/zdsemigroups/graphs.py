@@ -133,16 +133,17 @@ def recognize_target(graph: SimpleGraph) -> Optional[Recognition]:
     """Recognize a complete graph or a complete graph with one pendant.
 
     Completeness is checked first, so the two-vertex path reads as the
-    complete graph on 2 vertices.  Any other graph is a clique on nv - 1
-    vertices plus a pendant exactly when it has C(nv - 1, 2) + 1 edges
-    and a vertex of degree 1: removing that vertex leaves C(nv - 1, 2)
-    edges on nv - 1 vertices.  The three-vertex path is recognized as a
+    complete graph on 2 vertices; the graph on no vertex is in neither
+    family.  Any other graph is a clique on nv - 1 vertices plus a
+    pendant exactly when it has C(nv - 1, 2) + 1 edges and a vertex of
+    degree 1: removing that vertex leaves C(nv - 1, 2) edges on nv - 1
+    vertices.  The three-vertex path is recognized as a
     2-clique plus pendant; with two degree-1 candidates the smallest
     vertex id is reported as the pendant.
     """
     nv = graph.vertex_count
     edges = graph.edges
-    if len(edges) == nv * (nv - 1) // 2:
+    if nv and len(edges) == nv * (nv - 1) // 2:
         return Recognition(CompleteK(nv), None, None)
     if len(edges) != (nv - 1) * (nv - 2) // 2 + 1:
         return None

@@ -1,10 +1,14 @@
-"""Cross-method count reports, catalog exports, and the verification matrix.
+"""Cross-method count reports, catalog files, and the verification matrix.
 
 A count report runs up to three pipelines (closed formulas, condition
 generators, brute-force search) for one target and records their counts,
 any pairwise mismatch, and every deviation from the previously tabulated
 values.  Deviations carry witness tables and are findings, never
 silently dropped: the computed result is authoritative.
+
+Every catalog file is written here: the JSON, CSV and DOT exports and
+the oracle cache entry, which lists each class as its hex key and
+multiplicity, since the key spells the class's table.
 
 Everything renders with stable ordering so repeated runs are
 byte-identical.
@@ -24,6 +28,7 @@ from .classify import (
     ClassCatalog,
     ClassEntry,
     canonical_form,
+    key_from_hex,
     key_to_hex,
     square_profile,
 )
@@ -121,11 +126,11 @@ class ResultsCache:
 
         An unreadable entry is a miss, JSON nested too deeply to decode
         included.  So is one that is not a ``labeled``/``classes`` object,
-        lists no class or one class twice, has a multiplicity that is not a
-        positive integer, holds a class whose table or key fails
-        ``_check_cached_class``, or whose ``labeled`` total is not an
-        ``int`` (``true`` and ``1.0`` included) or is not the sum of its
-        multiplicities.
+        lists an item that is not a hex key and a multiplicity, lists no
+        class or one class twice, has a multiplicity that is not a positive
+        integer, holds a key that fails ``_check_cached_class``, or whose
+        ``labeled`` total is not an ``int`` (``true`` and ``1.0`` included)
+        or is not the sum of its multiplicities.
         """
         path = self._path(kind, n)
         if not path.exists():
@@ -135,7 +140,16 @@ class ResultsCache:
                 obj = json.load(fh)
             if not isinstance(obj, dict):
                 raise ValueError("the entry is not a labeled/classes object")
-            catalog = ClassCatalog.from_json_obj(obj["classes"])
+            catalog, listed = ClassCatalog(), set()
+            for hex_key, multiplicity in obj["classes"]:
+                key = key_from_hex(hex_key)
+                if key in listed:
+                    raise ValueError(f"class {hex_key} is listed twice")
+                if type(multiplicity) is not int or multiplicity < 1:
+                    raise ValueError(
+                        f"multiplicity must be a positive integer, got {multiplicity!r}")
+                listed.add(key)
+                catalog.add_entry(ClassEntry(key, multiplicity))
             if not catalog.class_count:
                 raise ValueError("the entry lists no class")
             if type(obj["labeled"]) is not int:
@@ -154,13 +168,15 @@ class ResultsCache:
     def put_catalog(self, kind: str, n: int, catalog: ClassCatalog) -> None:
         """Write through a temporary file, so readers never see a partial entry.
 
-        The entry records the number of labelled tables beside the classes,
-        so a class lost or a multiplicity changed is a miss.  The temporary
+        The entry lists each class as its hex key and multiplicity, keys
+        ascending, and records the number of labelled tables beside them, so
+        a class lost or a multiplicity changed is a miss.  The temporary
         file is removed if the write or the rename fails.
         """
         path = self._path(kind, n)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        entry = {"labeled": catalog.labeled_count, "classes": catalog.to_json_obj()}
+        entry = {"labeled": catalog.labeled_count,
+                 "classes": [[key_to_hex(e.key), e.multiplicity] for e in catalog.entries()]}
         try:
             with open(tmp, "w") as fh:
                 json.dump(entry, fh, sort_keys=True)
@@ -453,7 +469,9 @@ def render_count_report(report: CountReport) -> str:
 
 
 def catalog_json_text(catalog: ClassCatalog) -> str:
-    return json.dumps(catalog.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    classes = [{"key": key_to_hex(e.key), "multiplicity": e.multiplicity,
+                "table": table_to_json(e.representative)} for e in catalog.entries()]
+    return json.dumps(classes, indent=2, sort_keys=True) + "\n"
 
 
 def catalog_csv_text(kind: str, n: int, catalog: ClassCatalog) -> str:

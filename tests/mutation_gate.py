@@ -150,12 +150,10 @@ GUARDS = (
           'type(obj["labeled"]) is not int'),
     Guard("cache-labelled-total-is-the-sum", "reports.py", "ResultsCache.get_catalog", "drop",
           'obj["labeled"] != catalog.labeled_count'),
-    Guard("cache-class-listed-once", "classify.py", "ClassCatalog.from_json_obj", "drop",
-          "key in catalog._multiplicity"),
-    Guard("cache-multiplicity-positive-int", "classify.py", "ClassCatalog.from_json_obj", "drop",
+    Guard("cache-class-listed-once", "reports.py", "ResultsCache.get_catalog", "drop",
+          "key in listed"),
+    Guard("cache-multiplicity-positive-int", "reports.py", "ResultsCache.get_catalog", "drop",
           "type(multiplicity) is not int or multiplicity < 1"),
-    Guard("cache-table-is-its-keys", "classify.py", "ClassCatalog.from_json_obj", "drop",
-          'table_from_json(item["table"]) != table_from_key(key)'),
     Guard("cached-class-reproduces-key", "reports.py", "_check_cached_class", "drop",
           "canonical_form(table) != entry.key"),
     Guard("cached-class-zd-semigroup", "reports.py", "_check_cached_class", "drop",

@@ -279,32 +279,6 @@ def test_catalog_merge_adds_multiplicities():
     assert a.labeled_count == 3
 
 
-def test_catalog_json_round_trip():
-    catalog = ClassCatalog()
-    enumerate_labeled(CompleteK(2), catalog.insert)
-    obj = catalog.to_json_obj()
-    assert [item["key"] for item in obj] == sorted(item["key"] for item in obj)
-    back = ClassCatalog.from_json_obj(obj)
-    assert back.keys() == catalog.keys()
-    assert back.labeled_count == catalog.labeled_count
-    assert back == catalog
-
-
-@pytest.mark.parametrize("spoil, message", [
-    (lambda obj: obj.append(dict(obj[0])), "is listed twice"),
-    (lambda obj: obj[0].update(multiplicity=0), "positive integer, got 0"),
-    (lambda obj: obj[0].update(multiplicity=True), "positive integer, got True"),
-    (lambda obj: obj[0].update(table=obj[1]["table"]), "a table other than its key's"),
-], ids=["class-listed-twice", "multiplicity-0", "multiplicity-True", "another-class-table"])
-def test_catalog_from_json_refuses_a_spoiled_entry(spoil, message):
-    catalog = ClassCatalog()
-    enumerate_labeled(CompleteK(2), catalog.insert)
-    obj = catalog.to_json_obj()
-    spoil(obj)
-    with pytest.raises(ValueError, match=message):
-        ClassCatalog.from_json_obj(obj)
-
-
 def test_catalogs_are_equal_when_their_multiplicities_are():
     a, b = ClassCatalog(), ClassCatalog()
     t, u = clique_table([0, 0]), clique_table([0, 2])

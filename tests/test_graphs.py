@@ -190,10 +190,11 @@ def test_recognize_rejects_other_graphs():
 
 
 def defined_recognition(graph):
-    """The two families by definition: every pair is an edge, or every pair
-    off one vertex p is, plus one edge {p, q}; the smallest such p wins."""
+    """The two families by definition: at least one vertex and every pair an
+    edge, or every pair off one vertex p an edge, plus one edge {p, q}; the
+    smallest such p wins."""
     vertices = range(1, graph.vertex_count + 1)
-    if graph.edges == frozenset(itertools.combinations(vertices, 2)):
+    if vertices and graph.edges == frozenset(itertools.combinations(vertices, 2)):
         return (CompleteK(graph.vertex_count), None, None)
     for p in vertices:
         rest = [u for u in vertices if u != p]
@@ -204,7 +205,8 @@ def defined_recognition(graph):
 
 
 def test_recognize_matches_the_definition_on_every_small_graph():
-    for nv in range(1, 6):
+    # nv = 0 included: the graph on no vertex is in neither family
+    for nv in range(6):
         pairs = list(itertools.combinations(range(1, nv + 1), 2))
         for mask in range(1 << len(pairs)):
             graph = graph_of([pair for i, pair in enumerate(pairs) if mask >> i & 1], nv)

@@ -421,13 +421,28 @@ def test_results_cache_round_trip(tmp_path):
     assert report2.method_counts["oracle"] == 22
 
 
+def test_cache_entry_is_its_keys_and_multiplicities(tmp_path):
+    catalog = oracle_classes(CompletePlusEnd(3))
+    ResultsCache(tmp_path).put_catalog("kn1", 3, catalog)
+    (entry,) = tmp_path.iterdir()
+    text = entry.read_text()
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True)
+    assert obj == {"classes": [[key_to_hex(e.key), e.multiplicity] for e in catalog.entries()],
+                   "labeled": catalog.labeled_count}
+    hex_keys = [hex_key for hex_key, _ in obj["classes"]]
+    assert hex_keys == sorted(hex_keys) and len(hex_keys) == 22
+    assert "table" not in text
+
+
 def _assert_unreadable_entry_is_a_miss(tmp_path, capsys, corrupt, reason=""):
     argv = ["count", "--graph", "kn1", "--n", "3", "--method", "oracle",
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     cold = capsys.readouterr().out
     (entry,) = tmp_path.iterdir()
-    entry.write_text(corrupt(entry.read_text()))
+    intact = entry.read_text()
+    entry.write_text(corrupt(intact))
 
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -436,6 +451,7 @@ def _assert_unreadable_entry_is_a_miss(tmp_path, capsys, corrupt, reason=""):
     assert reason in captured.err
     # the entry was rewritten whole, and no temporary file is left behind
     assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_text() == intact
     assert ResultsCache(tmp_path).get_catalog("kn1", 3).class_count == 22
     assert capsys.readouterr().err == ""
 
@@ -455,6 +471,21 @@ def test_list_shaped_cache_entry_is_a_miss(tmp_path, capsys):
     _assert_unreadable_entry_is_a_miss(tmp_path, capsys,
                                        lambda text: json.dumps(json.loads(text)["classes"]),
                                        "the entry is not a labeled/classes object")
+
+
+def _with_a_table_per_class(text):
+    # the entry format before this one: each class an object holding its
+    # key, its multiplicity and the table its key spells
+    obj = json.loads(text)
+    obj["classes"] = [{"key": hex_key, "multiplicity": multiplicity,
+                       "table": table_to_json(table_from_key(key_from_hex(hex_key)))}
+                      for hex_key, multiplicity in obj["classes"]]
+    return json.dumps(obj, sort_keys=True)
+
+
+def test_cache_entry_that_stores_tables_is_a_miss(tmp_path, capsys):
+    _assert_unreadable_entry_is_a_miss(tmp_path, capsys, _with_a_table_per_class,
+                                       "too many values to unpack")
 
 
 def test_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys):
@@ -500,16 +531,9 @@ def _tamper(entry_path, edit):
 
 
 def _swap_two_key_digits(classes):
-    key = classes[0]["key"]
+    key = classes[0][0]
     i = next(i for i in range(len(key) - 1) if key[i] != key[i + 1])
-    classes[0]["key"] = key[:i] + key[i + 1] + key[i] + key[i + 2:]
-
-
-def _change_one_cell(classes):
-    # a clique square of the last element, kept symmetric by living on the diagonal
-    grid = classes[0]["table"]["entries"]
-    m = classes[0]["table"]["m"]
-    grid[m - 1][m - 1] = (grid[m - 1][m - 1] + 1) % (m + 1)
+    classes[0][0] = key[:i] + key[i + 1] + key[i] + key[i + 2:]
 
 
 def _repeat_first_class(classes):
@@ -527,17 +551,24 @@ def _drop_last_class(classes):
 
 
 def _add_one_to_a_multiplicity(classes):
-    classes[0]["multiplicity"] += 1
+    classes[0][1] += 1
+
+
+def _add_a_third_item_to_a_class(classes):
+    classes[0].append(0)
+
+
+def _store_an_integer_key(classes):
+    classes[0][0] = int(classes[0][0], 16)
 
 
 def _store_class(item, key):
-    item["key"] = key_to_hex(key)
-    item["table"] = table_to_json(table_from_key(key))
+    item[0] = key_to_hex(key)
 
 
 def _relabel_first_class(classes):
     # a transposition of class 0, stored under its own flattened triangle
-    key = key_from_hex(classes[0]["key"])
+    key = key_from_hex(classes[0][0])
     table = table_from_key(key)
     m = table.m
     for u, v in itertools.combinations(range(1, m + 1), 2):
@@ -585,12 +616,13 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit, reason):
 
 @pytest.mark.parametrize("edit, reason", [
     pytest.param(edit, reason, id=edit.__name__) for edit, reason in (
-        (_swap_two_key_digits, "stores a table other than its key's"),
-        (_change_one_cell, "stores a table other than its key's"),
+        (_swap_two_key_digits, "does not reproduce its key"),
         (_repeat_first_class, "is listed twice"),
         (_drop_every_class, "the entry lists no class"),
         (_drop_last_class, "labelled tables, not"),
         (_add_one_to_a_multiplicity, "labelled tables, not"),
+        (_add_a_third_item_to_a_class, "too many values to unpack"),
+        (_store_an_integer_key, "object is not iterable"),
         # each of the last three passes every other check, so only one
         # check in ``reports._check_cached_class`` can catch it
         (_relabel_first_class, "does not reproduce its key"),
@@ -606,7 +638,7 @@ def test_tampered_cache_entry_is_a_miss(tmp_path, capsys, edit, reason):
                          ids=("zero", "negative", "string", "float", "bool"))
 def test_cache_entry_with_bad_multiplicity_is_a_miss(tmp_path, capsys, multiplicity):
     def set_multiplicity(classes):
-        classes[0]["multiplicity"] = multiplicity
+        classes[0][1] = multiplicity
 
     _assert_tampered_entry_is_a_miss(tmp_path, capsys, set_multiplicity,
                                      "multiplicity must be a positive integer")
