@@ -189,6 +189,10 @@ def test_recognize_rejects_other_graphs():
     assert recognize_target(graph_of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], 4)) is None
 
 
+def test_recognize_the_graph_on_no_vertex_is_in_neither_family():
+    assert recognize_target(graph_of([], 0)) is None
+
+
 def defined_recognition(graph):
     """The two families by definition: at least one vertex and every pair an
     edge, or every pair off one vertex p an edge, plus one edge {p, q}; the

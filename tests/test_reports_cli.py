@@ -541,6 +541,12 @@ def _repeat_first_class(classes):
     classes[-1] = classes[0]
 
 
+def _give_the_first_class_the_second_key(classes):
+    # a key valid for the target is another listed class; the labelled
+    # total still matches, so only "listed twice" can catch it
+    classes[0][0] = classes[1][0]
+
+
 def _drop_every_class(classes):
     classes.clear()
 
@@ -560,6 +566,12 @@ def _add_a_third_item_to_a_class(classes):
 
 def _store_an_integer_key(classes):
     classes[0][0] = int(classes[0][0], 16)
+
+
+def _store_a_class_as_an_object(classes):
+    # unpacking the object yields its two field names, and "key" is not hex
+    hex_key, multiplicity = classes[0]
+    classes[0] = {"key": hex_key, "multiplicity": multiplicity}
 
 
 def _store_class(item, key):
@@ -618,11 +630,13 @@ def _assert_tampered_entry_is_a_miss(tmp_path, capsys, edit, reason):
     pytest.param(edit, reason, id=edit.__name__) for edit, reason in (
         (_swap_two_key_digits, "does not reproduce its key"),
         (_repeat_first_class, "is listed twice"),
+        (_give_the_first_class_the_second_key, "is listed twice"),
         (_drop_every_class, "the entry lists no class"),
         (_drop_last_class, "labelled tables, not"),
         (_add_one_to_a_multiplicity, "labelled tables, not"),
         (_add_a_third_item_to_a_class, "too many values to unpack"),
         (_store_an_integer_key, "object is not iterable"),
+        (_store_a_class_as_an_object, "invalid literal for int() with base 16"),
         # each of the last three passes every other check, so only one
         # check in ``reports._check_cached_class`` can catch it
         (_relabel_first_class, "does not reproduce its key"),
