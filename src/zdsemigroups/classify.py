@@ -58,13 +58,14 @@ ends a tie with the best key, since every leaf's key holds 0 there.  So
 skipping those cells leaves the nodes, branches, ties, automorphisms and
 key of the full scan, and the key gets 0 at each of them.
 
-``ClassCatalog`` keys a table with ``canonical_form`` unless its caller
-passes the key.  ``OrbitKeyer`` is such a caller for a stream of tables
-in which each class is one orbit of a known symmetric group of
-relabelings: it runs ``canonical_form`` once per orbit, closes that
-table's code under two generators of the group, a transposition and a
-cycle, each a ``tables._relabeling``, to list the rest of the orbit,
-and keys those tables by lookup.
+``ClassCatalog`` only counts keys; it never keys a table.
+``OrbitKeyer`` keys every stream of tables, the oracle's and each
+generator's, in which each class is one orbit of a known symmetric
+group of relabelings: it runs ``canonical_form`` once per orbit, closes
+that table's code under two generators of the group, a transposition
+and a cycle, each a ``tables._relabeling``, to list the rest of the
+orbit, and keys those tables by lookup.  A stream that emits one table
+per class uses the trivial group, so each table is its own orbit.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UsageError
 from .graphs import CompleteK, realizes
@@ -274,10 +275,8 @@ class ClassCatalog:
             return NotImplemented
         return self._multiplicity == other._multiplicity
 
-    def insert(self, table: MulTable, key: Optional[CanonicalKey] = None) -> bool:
-        """Insert one labelled table; True when a new class was created."""
-        if key is None:
-            key = canonical_form(table)
+    def insert(self, key: CanonicalKey) -> bool:
+        """Count one labelled table of class ``key``; True when the class is new."""
         new = key not in self._multiplicity
         self._multiplicity[key] += 1
         return new
@@ -358,7 +357,7 @@ class OrbitKeyer:
                         orbit.add(image)
                         work.append(image)
             self._pending.update(dict.fromkeys(work[1:], key))
-        self.catalog.insert(table, key=key)
+        self.catalog.insert(key)
         return key
 
     def check_closed(self, tables: str) -> None:

@@ -82,6 +82,13 @@ test it against the statement; the generators (``_iter_self_case_tables``,
 by row, through ``_listed``.  The tests tie both to the brute-force
 search, table by table.
 
+Every generator, the clique one included, hands its stream of tables to
+``_keyed``, which validates each table and keys it through an
+``OrbitKeyer`` into a catalog; a stream with one table per class keys
+with no movable element.  A catalog holds only keys, so the x*x = x
+case's strata are read off each class's representative with
+``pendant_fixed_points``, as the CSV export reads them.
+
 The formula method prefers the stated ``STRATUM_RULES`` where they
 cover a stratum, so a wrong stated value shows as a deviation from the
 enumerated count.  Previously tabulated values for small cases are kept
@@ -94,7 +101,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import ClassCatalog, OrbitKeyer
 from .errors import UsageError
@@ -254,10 +261,7 @@ def generate_clique_classes(n: int) -> ClassCatalog:
     """One representative per square profile, re-validated and cataloged."""
     if n < 1:
         raise UsageError("clique size must be >= 1")
-    catalog = ClassCatalog()
-    for table in _iter_clique_profile_tables(n):
-        catalog.insert(_validated(table, CompleteK(n)))
-    return catalog
+    return _keyed(_iter_clique_profile_tables(n), CompleteK(n), (), "clique tables")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,7 @@ def pendant_conditions_hold(table: MulTable) -> bool:
 def _validated(table: MulTable, target: TargetGraph) -> MulTable:
     """Return a generated table after checking it from scratch.
 
-    Every generator passes its tables through here: ``RuntimeError``
+    ``_keyed`` passes every generated table through here: ``RuntimeError``
     unless the table is associative and ``realizes`` its target graph.
     """
     witness = check_associativity(table)
@@ -437,6 +441,24 @@ def _validated(table: MulTable, target: TargetGraph) -> MulTable:
     if realizes(table, target) is None:
         raise RuntimeError(f"generated table does not realize {target}")
     return table
+
+
+def _keyed(tables: Iterable[MulTable], target: TargetGraph, movable: Sequence[int],
+           label: str) -> ClassCatalog:
+    """Catalog a generator's tables, each passed through ``_validated``.
+
+    An ``OrbitKeyer`` over ``movable`` keys them, so the tables of one
+    class must be one orbit of the relabelings of ``movable``, each
+    emitted once: with ``movable`` empty, one table per class.  The
+    keyer raises on a repeated table, and ``check_closed`` on an open
+    orbit.
+    """
+    catalog = ClassCatalog()
+    keyer = OrbitKeyer(target.element_count, movable, catalog)
+    for table in tables:
+        keyer(_validated(table, target))
+    keyer.check_closed(label)
+    return catalog
 
 
 def _require_pendant_size(n: int) -> None:
@@ -448,16 +470,13 @@ def _generate_pointer_family(n: int, square: int) -> ClassCatalog:
     """Shared body of the zero and attach generators, keyed on the pendant's square.
 
     Each table is a statement with one product and one square per element,
-    written by ``_listed``, so the catalog holds one table per class.
+    written by ``_listed``, so the stream holds one table per class.
     """
     _require_pendant_size(n)
-    catalog = ClassCatalog()
-    target = CompletePlusEnd(n)
-    for pointer_count in range(n):  # elements 2..pointer_count + 1 square to 1
-        statement = [(i, (1,), (1,) if i <= pointer_count + 1 else (0,)) for i in range(2, n + 1)]
-        for table in _listed(square, statement):
-            catalog.insert(_validated(table, target))
-    return catalog
+    statements = ([(i, (1,), (1,) if i <= pointer_count + 1 else (0,)) for i in range(2, n + 1)]
+                  for pointer_count in range(n))  # elements 2..pointer_count + 1 square to 1
+    tables = itertools.chain.from_iterable(_listed(square, s) for s in statements)
+    return _keyed(tables, CompletePlusEnd(n), (), f"x*x = {square} tables")
 
 
 def generate_pendant_square_zero(n: int) -> ClassCatalog:
@@ -489,31 +508,14 @@ def generate_pendant_square_other(n: int) -> ClassCatalog:
     check raises if the tables are not closed under those relabelings.
     """
     _require_pendant_size(n)
-    m = n + 1
-    catalog = ClassCatalog()
-    keyer = OrbitKeyer(m, range(3, n + 1), catalog)
-    target = CompletePlusEnd(n)
     others = range(2, n + 1)
-    for jx in (1, *others):
-        for table in _listed(2, _other_choices(others, 2, jx, 1)):
-            keyer(_validated(table, target))
-    keyer.check_closed("x*x = 2 tables")
-    return catalog
+    tables = itertools.chain.from_iterable(
+        _listed(2, _other_choices(others, 2, jx, 1)) for jx in (1, *others))
+    return _keyed(tables, CompletePlusEnd(n), range(3, n + 1), "x*x = 2 tables")
 
 
-class PendantSelfResult(NamedTuple):
-    """Classes of the x*x = x case plus their fixed-point stratification."""
-
-    catalog: ClassCatalog
-    by_fixed_points: dict[int, int]
-
-    @property
-    def class_count(self) -> int:
-        return self.catalog.class_count
-
-
-def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
-    """All labelled tables meeting the x*x = x conditions, with their r.
+def _iter_self_case_tables(n: int) -> Iterator[MulTable]:
+    """All labelled tables meeting the x*x = x conditions.
 
     For each choice of the r fixed elements among 2..n and of the subset
     Z of them that squares to 0, ``_listed`` writes a table for every
@@ -527,12 +529,11 @@ def _iter_self_case_tables(n: int) -> Iterator[tuple[MulTable, int]]:
         for fixed in itertools.combinations(others, r):
             for zeros in itertools.chain.from_iterable(
                     itertools.combinations(fixed, k) for k in range(r + 1)):
-                for table in _listed(m, _self_choices(others, fixed, zeros, 1),
-                                     lambda squares: _neighbor_squares(squares, 1)):
-                    yield table, r
+                yield from _listed(m, _self_choices(others, fixed, zeros, 1),
+                                   lambda squares: _neighbor_squares(squares, 1))
 
 
-def generate_pendant_square_self(n: int) -> PendantSelfResult:
+def generate_pendant_square_self(n: int) -> ClassCatalog:
     """Enumerate the x*x = x case from its conditions and classify.
 
     The tables come from ``_iter_self_case_tables``, which writes, row by
@@ -545,21 +546,12 @@ def generate_pendant_square_self(n: int) -> PendantSelfResult:
     the tables of one class are exactly one orbit of those (n-1)!
     relabelings, and an ``OrbitKeyer`` over 2..n keys them with one
     ``canonical_form`` per class.  Every table is still validated and
-    inserted once, and the fixed-point count r is checked to be constant
-    on each class.  If the case were not closed under relabeling, the
+    inserted once.  If the case were not closed under relabeling, the
     keyer's closure check would raise instead of miscounting.
     """
     _require_pendant_size(n)
-    catalog = ClassCatalog()
-    keyer = OrbitKeyer(n + 1, range(2, n + 1), catalog)
-    key_fixed: dict[tuple, int] = {}
-    target = CompletePlusEnd(n)
-    for table, r in _iter_self_case_tables(n):
-        key = keyer(_validated(table, target))
-        if key_fixed.setdefault(key, r) != r:
-            raise RuntimeError("fixed-point count is not constant on a class")
-    keyer.check_closed("x*x = x tables")
-    return PendantSelfResult(catalog, dict(sorted(Counter(key_fixed.values()).items())))
+    return _keyed(_iter_self_case_tables(n), CompletePlusEnd(n), range(2, n + 1),
+                  "x*x = x tables")
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +562,8 @@ PENDANT_CASES = ("zero", "self", "attach", "other")
 
 
 class PendantBreakdown(NamedTuple):
-    """Per-case catalogs for one pendant target."""
+    """Per-case catalogs for one pendant target, and the x*x = x class
+    count of each fixed-point stratum r."""
 
     catalogs: dict[str, ClassCatalog]
     by_fixed_points: dict[int, int]
@@ -591,14 +584,15 @@ class PendantBreakdown(NamedTuple):
 
 
 def pendant_case_breakdown(n: int) -> PendantBreakdown:
-    self_result = generate_pendant_square_self(n)
+    """Each case's catalog; a class's stratum r is read off its representative."""
     catalogs = {
         "zero": generate_pendant_square_zero(n),
-        "self": self_result.catalog,
+        "self": generate_pendant_square_self(n),
         "attach": generate_pendant_square_attach(n),
         "other": generate_pendant_square_other(n),
     }
-    return PendantBreakdown(catalogs, self_result.by_fixed_points)
+    strata = Counter(pendant_fixed_points(e.representative) for e in catalogs["self"].entries())
+    return PendantBreakdown(catalogs, dict(sorted(strata.items())))
 
 
 def self_stratum_counts(n: int) -> dict[int, int]:

@@ -126,11 +126,12 @@ class ResultsCache:
 
         An unreadable entry is a miss, JSON nested too deeply to decode
         included.  So is one that is not a ``labeled``/``classes`` object,
-        lists an item that is not a hex key and a multiplicity, lists no
-        class or one class twice, has a multiplicity that is not a positive
-        integer, holds a key that fails ``_check_cached_class``, or whose
-        ``labeled`` total is not an ``int`` (``true`` and ``1.0`` included)
-        or is not the sum of its multiplicities.
+        lists a class that is not a two-item list, as older formats did, or
+        not a hex key and a multiplicity, lists no class or one class twice,
+        has a multiplicity that is not a positive integer, holds a key that
+        fails ``_check_cached_class``, or whose ``labeled`` total is not an
+        ``int`` (``true`` and ``1.0`` included) or is not the sum of its
+        multiplicities.
         """
         path = self._path(kind, n)
         if not path.exists():
@@ -141,7 +142,11 @@ class ResultsCache:
             if not isinstance(obj, dict):
                 raise ValueError("the entry is not a labeled/classes object")
             catalog, listed = ClassCatalog(), set()
-            for hex_key, multiplicity in obj["classes"]:
+            for item in obj["classes"]:
+                if type(item) is not list or len(item) != 2:
+                    raise ValueError("the entry is not in the current [hex key, multiplicity] "
+                                     "format and will be rewritten")
+                hex_key, multiplicity = item
                 key = key_from_hex(hex_key)
                 if key in listed:
                     raise ValueError(f"class {hex_key} is listed twice")

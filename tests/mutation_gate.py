@@ -119,8 +119,6 @@ GUARDS = (
     Guard("validated-associativity", "counting.py", "_validated", "drop", "witness is not None"),
     Guard("validated-graph", "counting.py", "_validated", "drop",
           "realizes(table, target) is None"),
-    Guard("self-case-r-constant", "counting.py", "generate_pendant_square_self", "drop",
-          "key_fixed.setdefault(key, r) != r"),
     Guard("orbit-keyer-closed", "classify.py", "OrbitKeyer.check_closed", "drop", "self._pending"),
     Guard("orbit-keyer-refuses-a-repeat", "classify.py", "OrbitKeyer.__call__", "drop",
           "code in self._firsts"),
@@ -144,6 +142,8 @@ GUARDS = (
     # every check a cache entry passes before it is a hit
     Guard("cache-entry-is-an-object", "reports.py", "ResultsCache.get_catalog", "drop",
           "not isinstance(obj, dict)"),
+    Guard("cache-class-is-a-pair", "reports.py", "ResultsCache.get_catalog", "drop",
+          "type(item) is not list or len(item) != 2"),
     Guard("cache-entry-lists-a-class", "reports.py", "ResultsCache.get_catalog", "drop",
           "not catalog.class_count"),
     Guard("cache-labelled-total-is-an-int", "reports.py", "ResultsCache.get_catalog", "drop",
@@ -174,6 +174,8 @@ GUARDS = (
     Guard("clique-generator-needs-size-1", "counting.py", "generate_clique_classes", "drop",
           "n < 1"),
     Guard("complete-graph-needs-size-1", "graphs.py", "CompleteK.__init__", "drop", "n < 1"),
+    Guard("budget-gate-at-the-limit", "search.py", "fits_budget", "flip",
+          "assignment_count(seed_partial_table(target)) <= DESK_SCALE_LIMIT"),
     Guard("budget-refusal-power-of-ten", "search.py", "_decimal", "less", "int(log10(count))"),
     Guard("table-cells-within-1-to-m", "tables.py", "MulTable.from_cells", "drop",
           "not (type(u) is type(v) is int and 0 < u <= m and 0 < v <= m)"),

@@ -58,7 +58,7 @@ def oracle_pendant(pendant_labeled):
     for n, tables in pendant_labeled.items():
         catalog = ClassCatalog()
         for t in tables:
-            catalog.insert(t)
+            catalog.insert(canonical_form(t))
         out[n] = catalog
     return out
 
@@ -335,7 +335,7 @@ def test_criterion_9_canonicalization_invariance(pendant_labeled):
         rng.shuffle(tables)
         catalog = ClassCatalog()
         for t in tables:
-            catalog.insert(t)
+            catalog.insert(canonical_form(t))
         snapshot = [(e.key, e.multiplicity) for e in catalog.entries()]
         reference = snapshot if reference is None else reference
         assert snapshot == reference

@@ -232,15 +232,15 @@ def test_key_to_hex_refuses_a_value_above_15():
 def test_catalog_insert_and_multiplicity():
     catalog = ClassCatalog()
     t = clique_table([0, 0])
-    assert catalog.insert(t) is True
-    assert catalog.insert(t) is False
+    assert catalog.insert(canonical_form(t)) is True
+    assert catalog.insert(canonical_form(t)) is False
     assert catalog.class_count == 1
     assert catalog.entries()[0].multiplicity == 2
 
 
 def test_catalog_k2_classes():
     catalog = ClassCatalog()
-    count = enumerate_labeled(CompleteK(2), catalog.insert)
+    count = enumerate_labeled(CompleteK(2), lambda t: catalog.insert(canonical_form(t)))
     assert count == 6
     assert catalog.class_count == 4
     assert catalog.labeled_count == 6
@@ -248,7 +248,7 @@ def test_catalog_k2_classes():
 
 def test_catalog_k3_classes():
     catalog = ClassCatalog()
-    enumerate_labeled(CompleteK(3), catalog.insert)
+    enumerate_labeled(CompleteK(3), lambda t: catalog.insert(canonical_form(t)))
     assert catalog.class_count == 7
 
 
@@ -261,7 +261,7 @@ def test_catalog_order_independent():
         rng.shuffle(tables)
         catalog = ClassCatalog()
         for t in tables:
-            catalog.insert(t)
+            catalog.insert(canonical_form(t))
         snapshot = [(e.key, e.multiplicity) for e in catalog.entries()]
         if reference is None:
             reference = snapshot
@@ -271,9 +271,9 @@ def test_catalog_order_independent():
 def test_catalog_merge_adds_multiplicities():
     a, b = ClassCatalog(), ClassCatalog()
     t = clique_table([0, 0])
-    a.insert(t)
-    b.insert(t)
-    b.insert(clique_table([0, 2]))
+    a.insert(canonical_form(t))
+    b.insert(canonical_form(t))
+    b.insert(canonical_form(clique_table([0, 2])))
     a.merge(b)
     assert a.class_count == 2
     assert a.labeled_count == 3
@@ -283,11 +283,11 @@ def test_catalogs_are_equal_when_their_multiplicities_are():
     a, b = ClassCatalog(), ClassCatalog()
     t, u = clique_table([0, 0]), clique_table([0, 2])
     for table in (t, u, t):
-        a.insert(table)
+        a.insert(canonical_form(table))
     for table in (u, t):
-        b.insert(table)
+        b.insert(canonical_form(table))
     assert a != b  # the same classes, one multiplicity differs
-    b.insert(t)
+    b.insert(canonical_form(t))
     assert a == b
     assert a != a._multiplicity
 
@@ -344,12 +344,12 @@ def test_pinned_key_groups_match_full_canonical():
 
 
 def test_catalog_shortcut_matches_full_canonical():
-    # ClassCatalog against the package-free brute-force key per table, on
-    # oracle tables and relabelings that move the pendant off m
+    # canonical_form's catalog against the package-free brute-force key per
+    # table, on oracle tables and relabelings that move the pendant off m
     def brute_catalog(tables):
         brute = ClassCatalog()
         for t in tables:
-            brute.insert(t, key=class_key(t.entries))
+            brute.insert(class_key(t.entries))
         return [(e.key, e.multiplicity) for e in brute.entries()]
 
     rng = random.Random(3)
@@ -365,7 +365,7 @@ def test_catalog_shortcut_matches_full_canonical():
             tables.append(permute_table(t, perm))
         shortcut = ClassCatalog()
         for t in tables:
-            shortcut.insert(t)
+            shortcut.insert(canonical_form(t))
         assert [(e.key, e.multiplicity) for e in shortcut.entries()] == brute_catalog(tables)
     # the oracle's catalog, straight from the search
     for target in (CompletePlusEnd(3), CompletePlusEnd(4), CompleteK(3), CompleteK(4), CompleteK(5)):

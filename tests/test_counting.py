@@ -23,6 +23,7 @@ from zdsemigroups.counting import (
     iter_partitions_exact,
     pendant_case_breakdown,
     pendant_conditions_hold,
+    pendant_fixed_points,
     pendant_square_case,
     pendant_self_formula,
     pendant_total_formula,
@@ -372,18 +373,16 @@ def test_other_case_counts():
 
 
 def test_self_case_small_counts():
-    result3 = generate_pendant_square_self(3)
-    assert result3.by_fixed_points == {1: 3, 2: 8}
-    assert result3.class_count == 11
-    result4 = generate_pendant_square_self(4)
-    assert result4.by_fixed_points == {1: 4, 2: 9, 3: 14}
-    assert result4.class_count == 27
+    assert pendant_case_breakdown(3).by_fixed_points == {1: 3, 2: 8}
+    assert generate_pendant_square_self(3).class_count == 11
+    assert pendant_case_breakdown(4).by_fixed_points == {1: 4, 2: 9, 3: 14}
+    assert generate_pendant_square_self(4).class_count == 27
 
 
 def test_self_case_strata_sum():
     for n in (3, 4, 5):
-        result = generate_pendant_square_self(n)
-        assert sum(result.by_fixed_points.values()) == result.class_count
+        breakdown = pendant_case_breakdown(n)
+        assert sum(breakdown.by_fixed_points.values()) == breakdown.catalogs["self"].class_count
 
 
 def test_check_self_case_examples():
@@ -498,33 +497,38 @@ def test_pendant_conditions_recognize_the_graph_once(monkeypatch):
 
 
 def _keyed_reference(n, key_of):
-    """Self-case catalog and strata with every table keyed by ``key_of``."""
+    """Self-case catalog and strata with every table keyed by ``key_of``.
+
+    The stratum r is read off every labelled table, and must be the same
+    on all tables of a class.
+    """
     catalog = ClassCatalog()
     key_fixed = {}
-    for table, r in counting._iter_self_case_tables(n):
+    for table in counting._iter_self_case_tables(n):
         key = key_of(table)
-        catalog.insert(table, key=key)
-        key_fixed[key] = r
+        catalog.insert(key)
+        r = pendant_fixed_points(table)
+        assert key_fixed.setdefault(key, r) == r, "fixed-point count varies on a class"
     return catalog, dict(sorted(Counter(key_fixed.values()).items()))
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_self_orbit_keys_match_canonical_form(n):
-    result = generate_pendant_square_self(n)
-    got = [(e.key, e.multiplicity) for e in result.catalog.entries()]
+    got = [(e.key, e.multiplicity) for e in generate_pendant_square_self(n).entries()]
+    by_fixed_points = pendant_case_breakdown(n).by_fixed_points
     key_ofs = [canonical_form]
     if n <= 4:
         key_ofs.append(lambda t: class_key(t.entries))
     for key_of in key_ofs:
-        catalog, by_fixed_points = _keyed_reference(n, key_of)
+        catalog, reference_by_fixed_points = _keyed_reference(n, key_of)
         assert got == [(e.key, e.multiplicity) for e in catalog.entries()]
-        assert result.by_fixed_points == by_fixed_points
+        assert by_fixed_points == reference_by_fixed_points
 
 
 def test_self_generator_refuses_an_orbit_with_a_missing_table(monkeypatch):
     tables = list(counting._iter_self_case_tables(4))
     by_key = {}
-    for index, (table, _) in enumerate(tables):
+    for index, table in enumerate(tables):
         by_key.setdefault(canonical_form(table), []).append(index)
     dropped = next(indexes[1] for indexes in by_key.values() if len(indexes) > 1)
     kept = tables[:dropped] + tables[dropped + 1:]
@@ -557,16 +561,24 @@ def test_other_generator_refuses_an_orbit_with_a_missing_or_repeated_table(monke
         generate_pendant_square_other(4)
 
 
-def test_self_generator_refuses_a_fixed_point_count_that_varies_on_a_class(monkeypatch):
-    tables = counting._iter_self_case_tables
+@pytest.mark.parametrize("generator, stream", [
+    (generate_clique_classes, "_iter_clique_profile_tables"),
+    (generate_pendant_square_zero, "_listed"),
+    (generate_pendant_square_attach, "_listed"),
+])
+def test_one_table_per_class_generators_refuse_a_repeated_table(monkeypatch, generator, stream):
+    # these streams emit one table per class, so a repeat would count its
+    # class's one table twice
+    real = getattr(counting, stream)
 
-    def shifted(n):
-        for index, (table, r) in enumerate(tables(n)):
-            yield table, r + (index > 0)
+    def twice(*args):
+        for table in real(*args):
+            yield table
+            yield table
 
-    monkeypatch.setattr(counting, "_iter_self_case_tables", shifted)
-    with pytest.raises(RuntimeError, match="fixed-point count is not constant on a class"):
-        generate_pendant_square_self(4)
+    monkeypatch.setattr(counting, stream, twice)
+    with pytest.raises(RuntimeError, match="a table was emitted twice"):
+        generator(4)
 
 
 def _assert_generators_list_the_oracle_leaves(monkeypatch, n, self_count, other_count):
@@ -584,7 +596,7 @@ def _assert_generators_list_the_oracle_leaves(monkeypatch, n, self_count, other_
     def leaf_codes_with_square(square):
         return sorted(table.code for table in leaves if table.entries[m][m] == square)
 
-    self_codes = sorted(table.code for table, _ in counting._iter_self_case_tables(n))
+    self_codes = sorted(table.code for table in counting._iter_self_case_tables(n))
     assert len(self_codes) == self_count
     assert self_codes == leaf_codes_with_square(m)
 
@@ -698,7 +710,7 @@ def r2_stratum_closed_form(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_self_stratum_counts_match_generator(n):
-    by_fixed_points = generate_pendant_square_self(n).by_fixed_points
+    by_fixed_points = pendant_case_breakdown(n).by_fixed_points
     assert self_stratum_counts(n) == by_fixed_points
     assert by_fixed_points[2] == r2_stratum_closed_form(n)
 
@@ -727,7 +739,7 @@ def test_pendant_total_formula_matches_oracle(n, total):
     reason="the n=7 generator runs only under the long-run flag (set ZDSG_LONG_RUN=1)",
 )
 def test_self_stratum_counts_long_run_n7():
-    assert self_stratum_counts(7) == generate_pendant_square_self(7).by_fixed_points == {
+    assert self_stratum_counts(7) == pendant_case_breakdown(7).by_fixed_points == {
         1: 7, 2: 34, 3: 68, 4: 91, 5: 78, 6: 60,
     }
 
@@ -753,7 +765,6 @@ def test_formula_methods_consistent_at_n4():
 
 
 def test_self_case_fixed_points_match_oracle():
-    from zdsemigroups.counting import pendant_fixed_points
     from zdsemigroups.search import oracle_classes
 
     oracle = oracle_classes(CompletePlusEnd(3))
@@ -762,4 +773,4 @@ def test_self_case_fixed_points_match_oracle():
         if pendant_square_case(e.representative) == "self":
             r = pendant_fixed_points(e.representative)
             by_r[r] = by_r.get(r, 0) + 1
-    assert by_r == generate_pendant_square_self(3).by_fixed_points
+    assert by_r == pendant_case_breakdown(3).by_fixed_points

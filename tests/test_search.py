@@ -358,6 +358,20 @@ def test_budget_allows_pendant_4():
     assert assignment_count(seed_partial_table(CompletePlusEnd(4))) <= DESK_SCALE_LIMIT
 
 
+def test_budget_gate_admits_a_search_at_the_limit(monkeypatch):
+    # the limit is inclusive, and check_budget refuses exactly what fits_budget does
+    target = CompletePlusEnd(3)
+    leaves = assignment_count(seed_partial_table(target))
+    monkeypatch.setattr(search, "DESK_SCALE_LIMIT", leaves)
+    assert search.fits_budget(target)
+    search.check_budget(target, allow_long_run=False)
+    monkeypatch.setattr(search, "DESK_SCALE_LIMIT", leaves - 1)
+    assert not search.fits_budget(target)
+    with pytest.raises(BudgetError, match=f"^{leaves} assignments for CompletePlusEnd"):
+        search.check_budget(target, allow_long_run=False)
+    search.check_budget(target, allow_long_run=True)
+
+
 def test_iter_candidates_counts_all():
     spec = seed_partial_table(CompleteK(2))
     assert sum(1 for _ in iter_candidate_tables(spec)) == 9
